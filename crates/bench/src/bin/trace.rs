@@ -23,10 +23,15 @@
 //! a rate-of-change sparkline per series). It also reads flight-recorder
 //! dumps (`flightrec_<tag>.json`). `--expo FILE` writes the Prometheus
 //! exposition of the latest frame.
+//!
+//! Every subcommand reads its files through the telemetry codec
+//! ([`TraceDoc::decode`]).
 
 use std::path::{Path, PathBuf};
 
-use partix_bench::tracefile::{diff, latest_frame_exposition, report, timeline, TraceFile};
+use partix_bench::tracefile::{diff, report, timeline};
+use partix_profiler::assemble_chains;
+use partix_verbs::telemetry::{exposition, frame_exposition, TraceDoc};
 
 fn usage() -> ! {
     eprintln!(
@@ -37,11 +42,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn load(path: &Path) -> TraceFile {
-    TraceFile::load(path).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+fn load(path: &Path) -> TraceDoc {
+    let bytes = std::fs::read(path).map_err(|e| e.to_string());
+    bytes
+        .and_then(|b| TraceDoc::decode(&b).map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {}: {e}", path.display());
+            std::process::exit(2);
+        })
 }
 
 fn cmd_report(args: &[String]) -> i32 {
@@ -71,15 +79,16 @@ fn cmd_report(args: &[String]) -> i32 {
     let tf = load(&file);
     print!("{}", report(&tf, stalls));
     if let Some(out) = expo {
-        let stages = tf.stage_refs();
-        let text = partix_verbs::telemetry::exposition(&stages);
-        if let Err(e) = std::fs::write(&out, text) {
+        if let Err(e) = std::fs::write(&out, exposition(&tf.stages)) {
             eprintln!("error: {}: {e}", out.display());
             return 2;
         }
         println!("\nwrote exposition to {}", out.display());
     }
-    let violations = tf.violations();
+    let violations: Vec<String> = assemble_chains(&tf.flows)
+        .iter()
+        .flat_map(|c| c.violations())
+        .collect();
     if !violations.is_empty() {
         eprintln!("\n{} causal-chain violations:", violations.len());
         for v in &violations {
@@ -161,7 +170,7 @@ fn cmd_timeline(args: &[String]) -> i32 {
     };
     print!("{text}");
     if let Some(out) = expo {
-        let text = latest_frame_exposition(&tf).expect("frames checked above");
+        let text = frame_exposition(tf.frames.last().expect("frames checked above"));
         if let Err(e) = std::fs::write(&out, text) {
             eprintln!("error: {}: {e}", out.display());
             return 2;

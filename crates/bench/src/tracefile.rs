@@ -1,478 +1,36 @@
-//! Trace-file loading and analysis for the `trace` binary.
+//! The analyses behind the `trace` binary, over decoded trace and
+//! flight-record artifacts.
 //!
-//! Reads the `trace_<tag>.json` artifacts written by traced runs
-//! ([`partix_workloads::TraceArtifacts::write_to`]): chrome-trace events
-//! plus a `"flows"` array of raw causal flow events and a `"stages"` map
-//! of per-stage residency histogram snapshots. Parsing is a small
-//! recursive-descent JSON reader (the repo carries no serde); analysis
-//! reconstructs per-flow critical paths via `partix_profiler` and renders
-//! the percentile tables, stall reports, and run-to-run diffs.
+//! `trace_<tag>.json` and `flightrec_<tag>.json` are read by the telemetry
+//! codec ([`TraceDoc::decode`]) into the real flow, histogram and frame
+//! types; this module only renders them: the per-stage percentile table
+//! and stall report (per-flow critical paths reassembled via
+//! `partix_profiler`), run-to-run percentile diffs, and the per-window
+//! timeline.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
-use partix_profiler::{assemble_chains, top_stalls, FlowChain};
-use partix_verbs::telemetry::{FlowEvent, FlowStage, HistSnapshot};
+use partix_profiler::{top_stalls, FlowChain};
+use partix_verbs::telemetry::{Frame, TraceDoc};
 
-/// A minimal JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (all values in trace files fit f64's exact-integer range).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as u64 (rounded), if numeric.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as &str, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a slice, if an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry the byte offset of the problem.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let b = src.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at offset {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key is not a string at offset {}", *pos)),
-                };
-                expect(b, pos, b':')?;
-                members.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*pos + 1..*pos + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| format!("bad \\u escape at offset {}", *pos))?;
-                                // Surrogate pairs don't occur in our traces;
-                                // map lone surrogates to the replacement char.
-                                s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at offset {}", *pos)),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 sequences pass through untouched.
-                        let start = *pos;
-                        let len = if c < 0x80 {
-                            1
-                        } else if c >> 5 == 0b110 {
-                            2
-                        } else if c >> 4 == 0b1110 {
-                            3
-                        } else {
-                            4
-                        };
-                        let chunk = b
-                            .get(start..start + len)
-                            .and_then(|ch| std::str::from_utf8(ch).ok())
-                            .ok_or_else(|| format!("bad utf-8 at offset {start}"))?;
-                        s.push_str(chunk);
-                        *pos += len;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at offset {start}"))
-        }
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-/// One parsed time-series frame: a window of ledger deltas, stage-histogram
-/// windows, and transport gauges. Field lists keep source order; unknown
-/// keys survive parsing, so the reader never lags the writer.
-pub struct FrameRow {
-    /// Frame sequence number.
-    pub seq: u64,
-    /// Window-end timestamp (virtual or wall ns, per the producing clock).
-    pub t_ns: u64,
-    /// Window length in ns.
-    pub span_ns: u64,
-    /// Wire-ledger deltas for this window.
-    pub wire: Vec<(String, u64)>,
-    /// Runtime-ledger deltas for this window.
-    pub runtime: Vec<(String, u64)>,
-    /// Arena-ledger deltas for this window.
-    pub arena: Vec<(String, u64)>,
-    /// Per-stage histogram *windows* (activity inside this frame only).
-    pub stages: Vec<(String, HistSnapshot)>,
-    /// Transport gauges: `(name, cumulative total, window delta)`.
-    pub gauges: Vec<(String, u64, u64)>,
-}
-
-impl FrameRow {
-    /// A wire delta by field name (0 when absent).
-    pub fn wire_val(&self, key: &str) -> u64 {
-        self.wire
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// A runtime delta by field name (0 when absent).
-    pub fn runtime_val(&self, key: &str) -> u64 {
-        self.runtime
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// A stage-histogram window by name.
-    pub fn stage(&self, name: &str) -> Option<&HistSnapshot> {
-        self.stages.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-}
-
-/// A loaded trace artifact: the workload tag, raw flow events, the
-/// per-stage residency histograms, and any time-series frames. Both
-/// `trace_<tag>.json` and `flightrec_<tag>.json` parse into this shape.
-pub struct TraceFile {
-    /// Workload tag from the trace metadata.
-    pub workload: String,
-    /// Raw causal flow events.
-    pub flows: Vec<FlowEvent>,
-    /// Per-stage histogram snapshots, in file order.
-    pub stages: Vec<(String, HistSnapshot)>,
-    /// Windowed time-series frames (empty when the run was unsampled).
-    pub frames: Vec<FrameRow>,
-}
-
-impl TraceFile {
-    /// Load and parse a trace file from disk.
-    pub fn load(path: &Path) -> Result<TraceFile, String> {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        TraceFile::parse(&src).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Parse a trace document.
-    pub fn parse(src: &str) -> Result<TraceFile, String> {
-        let doc = parse_json(src)?;
-        // Trace artifacts carry meta.workload; flight-recorder dumps carry
-        // meta.tag. Accept either so both feed the same analyses.
-        let workload = doc
-            .get("meta")
-            .and_then(|m| m.get("workload").or_else(|| m.get("tag")))
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let mut flows = Vec::new();
-        for row in doc
-            .get("flows")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"flows\" array")?
-        {
-            let row = row.as_arr().ok_or("flow row is not an array")?;
-            if row.len() != 6 {
-                return Err(format!("flow row has {} fields, want 6", row.len()));
-            }
-            let stage_name = row[1].as_str().ok_or("flow stage is not a string")?;
-            let stage = FlowStage::from_name(stage_name)
-                .ok_or_else(|| format!("unknown flow stage {stage_name:?}"))?;
-            let num = |i: usize| -> Result<u64, String> {
-                row[i]
-                    .as_u64()
-                    .ok_or_else(|| format!("flow field {i} is not a number"))
-            };
-            flows.push(FlowEvent {
-                flow: num(0)?,
-                stage,
-                ts_ns: num(2)?,
-                qp: num(3)? as u32,
-                chan: num(4)? as u32,
-                aux: num(5)?,
-            });
-        }
-        let stages = match doc.get("stages") {
-            Some(v) => parse_stage_map(v)?,
-            None => Vec::new(),
-        };
-        let mut frames = Vec::new();
-        if let Some(rows) = doc.get("frames").and_then(Json::as_arr) {
-            for row in rows {
-                frames.push(parse_frame(row)?);
-            }
-        }
-        Ok(TraceFile {
-            workload,
-            flows,
-            stages,
-            frames,
-        })
-    }
-
-    /// Reassembled per-flow chains.
-    pub fn chains(&self) -> Vec<FlowChain> {
-        assemble_chains(&self.flows)
-    }
-
-    /// Causal completeness / monotonicity violations across all chains.
-    pub fn violations(&self) -> Vec<String> {
-        self.chains().iter().flat_map(|c| c.violations()).collect()
-    }
-
-    /// Stage snapshots with borrowed names (the shape the exposition
-    /// encoder takes).
-    pub fn stage_refs(&self) -> Vec<(&str, HistSnapshot)> {
-        self.stages
-            .iter()
-            .map(|(n, s)| (n.as_str(), s.clone()))
-            .collect()
-    }
-}
-
-/// Parse a `{"name": {count, sum, max, buckets}}` histogram map (the shape
-/// of the document-level `"stages"` key and of each frame's stage windows).
-fn parse_stage_map(v: &Json) -> Result<Vec<(String, HistSnapshot)>, String> {
-    let Json::Obj(members) = v else {
-        return Err("stage map is not an object".into());
-    };
-    let mut stages = Vec::new();
-    for (name, snap) in members {
-        let field = |k: &str| -> Result<u64, String> {
-            snap.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("stage {name}: missing {k}"))
-        };
-        let mut buckets = Vec::new();
-        for b in snap
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("stage {name}: missing buckets"))?
-        {
-            let b = b.as_arr().ok_or("bucket is not an array")?;
-            if b.len() != 3 {
-                return Err("bucket is not a [lo, hi, count] triple".into());
-            }
-            buckets.push(partix_verbs::telemetry::HistBucket {
-                lo: b[0].as_u64().ok_or("bucket lo")?,
-                hi: b[1].as_u64().ok_or("bucket hi")?,
-                count: b[2].as_u64().ok_or("bucket count")?,
-            });
-        }
-        stages.push((
-            name.clone(),
-            HistSnapshot {
-                count: field("count")?,
-                sum: field("sum")?,
-                max: field("max")?,
-                buckets,
-            },
-        ));
-    }
-    Ok(stages)
-}
-
-/// Flatten a `{field: number}` ledger object into name/value pairs,
-/// skipping non-numeric members.
-fn parse_ledger(v: Option<&Json>) -> Vec<(String, u64)> {
-    let Some(Json::Obj(members)) = v else {
-        return Vec::new();
-    };
-    members
-        .iter()
-        .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
-        .collect()
-}
-
-/// Parse one entry of the `"frames"` array.
-fn parse_frame(row: &Json) -> Result<FrameRow, String> {
-    let num = |k: &str| -> Result<u64, String> {
-        row.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("frame missing {k:?}"))
-    };
-    let stages = match row.get("stages") {
-        Some(v) => parse_stage_map(v)?,
-        None => Vec::new(),
-    };
-    let mut gauges = Vec::new();
-    if let Some(Json::Obj(members)) = row.get("gauges") {
-        for (name, g) in members {
-            let total = g.get("total").and_then(Json::as_u64).unwrap_or(0);
-            let delta = g.get("delta").and_then(Json::as_u64).unwrap_or(0);
-            gauges.push((name.clone(), total, delta));
-        }
-    }
-    Ok(FrameRow {
-        seq: num("seq")?,
-        t_ns: num("t_ns")?,
-        span_ns: num("span_ns")?,
-        wire: parse_ledger(row.get("wire")),
-        runtime: parse_ledger(row.get("runtime")),
-        arena: parse_ledger(row.get("arena")),
-        stages,
-        gauges,
-    })
-}
+/// Reads one window delta out of a frame.
+type Pick = fn(&Frame) -> u64;
 
 /// The delta series tabulated (and sparklined) by [`timeline`]: a short
-/// label, the ledger it reads, and the field name.
-const TIMELINE_COLS: [(&str, &str, &str); 5] = [
-    ("delivered", "wire", "delivered"),
-    ("bytes", "wire", "bytes_delivered"),
-    ("retrans", "wire", "retransmits"),
-    ("preadys", "runtime", "preadys"),
-    ("agg_wrs", "runtime", "aggregated_wrs"),
+/// label and the window delta it reads.
+const TIMELINE_COLS: [(&str, Pick); 5] = [
+    ("delivered", |f| f.deltas.wire.delivered),
+    ("bytes", |f| f.deltas.wire.bytes_delivered),
+    ("retrans", |f| f.deltas.wire.retransmits),
+    ("preadys", |f| f.deltas.runtime.preadys),
+    ("agg_wrs", |f| f.deltas.runtime.aggregated_wrs),
 ];
 
 /// Render the per-window timeline: one row per frame with the key ledger
 /// deltas and the `wire_ns` window percentiles, then a rate-of-change
 /// sparkline per tabulated series. Returns `None` when the trace carries
 /// no frames (unsampled run).
-pub fn timeline(tf: &TraceFile) -> Option<String> {
+pub fn timeline(tf: &TraceDoc) -> Option<String> {
     if tf.frames.is_empty() {
         return None;
     }
@@ -484,16 +42,10 @@ pub fn timeline(tf: &TraceFile) -> Option<String> {
         tf.frames.len()
     );
     let _ = write!(out, "{:>4} {:>12} {:>10}", "seq", "t_us", "span_us");
-    for (label, _, _) in TIMELINE_COLS {
+    for (label, _) in TIMELINE_COLS {
         let _ = write!(out, " {label:>10}");
     }
     let _ = writeln!(out, " {:>9} {:>9}", "wire_p50", "wire_p99");
-    let pick = |f: &FrameRow, ledger: &str, field: &str| -> u64 {
-        match ledger {
-            "wire" => f.wire_val(field),
-            _ => f.runtime_val(field),
-        }
-    };
     for f in &tf.frames {
         let _ = write!(
             out,
@@ -502,11 +54,11 @@ pub fn timeline(tf: &TraceFile) -> Option<String> {
             f.t_ns as f64 / 1e3,
             f.span_ns as f64 / 1e3
         );
-        for (_, ledger, field) in TIMELINE_COLS {
-            let _ = write!(out, " {:>10}", pick(f, ledger, field));
+        for (_, pick) in TIMELINE_COLS {
+            let _ = write!(out, " {:>10}", pick(f));
         }
-        match f.stage("wire_ns") {
-            Some(h) if h.count > 0 => {
+        match f.stages.iter().find(|(n, _)| *n == "wire_ns") {
+            Some((_, h)) if h.count > 0 => {
                 let _ = writeln!(out, " {:>9} {:>9}", h.quantile(0.50), h.quantile(0.99));
             }
             _ => {
@@ -515,8 +67,8 @@ pub fn timeline(tf: &TraceFile) -> Option<String> {
         }
     }
     let _ = writeln!(out, "\n## per-window rates");
-    for (label, ledger, field) in TIMELINE_COLS {
-        let series: Vec<u64> = tf.frames.iter().map(|f| pick(f, ledger, field)).collect();
+    for (label, pick) in TIMELINE_COLS {
+        let series: Vec<u64> = tf.frames.iter().map(pick).collect();
         let peak = series.iter().copied().max().unwrap_or(0);
         let _ = writeln!(
             out,
@@ -529,46 +81,11 @@ pub fn timeline(tf: &TraceFile) -> Option<String> {
     Some(out)
 }
 
-/// Prometheus text exposition of the **latest** frame in a loaded trace,
-/// mirroring the live `frame_exposition` encoder: `partix_window_*` ledger
-/// deltas, `partix_gauge_*` transport gauges, and the frame's stage windows.
-pub fn latest_frame_exposition(tf: &TraceFile) -> Option<String> {
-    let f = tf.frames.last()?;
-    let mut s = String::with_capacity(2048);
-    let mut gauge = |name: &str, v: u64| {
-        let _ = writeln!(s, "# TYPE {name} gauge");
-        let _ = writeln!(s, "{name} {v}");
-    };
-    gauge("partix_window_seq", f.seq);
-    gauge("partix_window_t_ns", f.t_ns);
-    gauge("partix_window_span_ns", f.span_ns);
-    for (k, v) in &f.wire {
-        gauge(&format!("partix_window_wire_{k}"), *v);
-    }
-    for (k, v) in &f.runtime {
-        gauge(&format!("partix_window_runtime_{k}"), *v);
-    }
-    for (k, v) in &f.arena {
-        gauge(&format!("partix_window_arena_{k}"), *v);
-    }
-    for (name, total, delta) in &f.gauges {
-        gauge(&format!("partix_gauge_{name}"), *total);
-        gauge(&format!("partix_gauge_{name}_delta"), *delta);
-    }
-    let refs: Vec<(&str, HistSnapshot)> = f
-        .stages
-        .iter()
-        .map(|(n, h)| (n.as_str(), h.clone()))
-        .collect();
-    s.push_str(&partix_verbs::telemetry::exposition(&refs));
-    Some(s)
-}
-
 /// Render the per-stage percentile table and the top-`k` stall report.
-pub fn report(tf: &TraceFile, k: usize) -> String {
+pub fn report(tf: &TraceDoc, k: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# trace report — workload: {}", tf.workload);
-    let chains = tf.chains();
+    let chains = partix_profiler::assemble_chains(&tf.flows);
     let arrived = chains.iter().filter(|c| c.arrived()).count();
     let _ = writeln!(
         out,
@@ -627,7 +144,7 @@ pub fn report(tf: &TraceFile, k: usize) -> String {
 /// One per-stage percentile regression found by [`diff`].
 pub struct Regression {
     /// Stage histogram name.
-    pub stage: String,
+    pub stage: &'static str,
     /// Which percentile regressed ("p50", "p95", "p99").
     pub quantile: &'static str,
     /// Baseline value in ns.
@@ -639,7 +156,7 @@ pub struct Regression {
 /// Compare two traces stage by stage; a regression is a candidate
 /// percentile more than `threshold` (fractional, e.g. 0.10) above the
 /// baseline's. Returns the rendered table and the regressions found.
-pub fn diff(base: &TraceFile, cand: &TraceFile, threshold: f64) -> (String, Vec<Regression>) {
+pub fn diff(base: &TraceDoc, cand: &TraceDoc, threshold: f64) -> (String, Vec<Regression>) {
     let mut out = String::new();
     let mut regressions = Vec::new();
     let _ = writeln!(
@@ -654,8 +171,8 @@ pub fn diff(base: &TraceFile, cand: &TraceFile, threshold: f64) -> (String, Vec<
         "{:<16} {:>4} {:>12} {:>12} {:>9}",
         "stage", "q", "base_ns", "cand_ns", "delta"
     );
-    for (name, b) in &base.stages {
-        let Some((_, c)) = cand.stages.iter().find(|(n, _)| n == name) else {
+    for &(name, ref b) in &base.stages {
+        let Some((_, c)) = cand.stages.iter().find(|(n, _)| *n == name) else {
             let _ = writeln!(out, "{name:<16} missing from candidate");
             continue;
         };
@@ -687,7 +204,7 @@ pub fn diff(base: &TraceFile, cand: &TraceFile, threshold: f64) -> (String, Vec<
             );
             if regressed {
                 regressions.push(Regression {
-                    stage: name.clone(),
+                    stage: name,
                     quantile: qname,
                     before: bv,
                     after: cv,
@@ -701,53 +218,47 @@ pub fn diff(base: &TraceFile, cand: &TraceFile, threshold: f64) -> (String, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partix_verbs::telemetry::{
+        frame_exposition, trace_json, FlowEvent, FlowStage, FrameGauge, HistSnapshot, LogHistogram,
+        Snapshot,
+    };
 
-    #[test]
-    fn json_round_trips_nested_values() {
-        let doc =
-            parse_json(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny", "d": true, "e": null}}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("b").unwrap().get("e"), Some(&Json::Null));
-        assert!(parse_json("{\"unterminated\": ").is_err());
-        assert!(parse_json("[1, 2] trailing").is_err());
-    }
-
-    fn sample_doc(wire_vals: &[u64]) -> String {
-        use partix_verbs::telemetry::LogHistogram;
+    fn hist(vals: &[u64]) -> HistSnapshot {
         let h = LogHistogram::new();
-        for &v in wire_vals {
+        for &v in vals {
             h.record(v);
         }
-        let snap = h.snapshot();
-        let mut buckets = String::new();
-        for (i, b) in snap.buckets.iter().enumerate() {
-            if i > 0 {
-                buckets.push_str(", ");
-            }
-            buckets.push_str(&format!("[{}, {}, {}]", b.lo, b.hi, b.count));
-        }
-        format!(
-            "{{\"meta\": {{\"workload\": \"unit\", \"format\": 1}},\n\
-             \"traceEvents\": [],\n\
-             \"flows\": [\n  [1, \"posted\", 100, 2, 7, 40],\n  [1, \"wire_submit\", 150, 2, 0, 0],\n  [1, \"recv_cqe\", 300, 2, 0, 5],\n  [1, \"arrived\", 400, 0, 7, 1]\n],\n\
-             \"stages\": {{\"wire_ns\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}}},\n\
-             \"displayTimeUnit\": \"ns\"}}\n",
-            snap.count, snap.sum, snap.max, buckets
-        )
+        h.snapshot()
+    }
+
+    /// Encode a trace the way traced runs write it, then decode it.
+    fn doc(wire_vals: &[u64], frames: &[Frame]) -> TraceDoc {
+        let ev = |stage, ts_ns, qp, chan, aux| FlowEvent {
+            flow: 1,
+            stage,
+            ts_ns,
+            qp,
+            chan,
+            aux,
+        };
+        let flows = [
+            ev(FlowStage::Posted, 100, 2, 7, 40),
+            ev(FlowStage::WireSubmit, 150, 2, 0, 0),
+            ev(FlowStage::RecvCqe, 300, 2, 0, 5),
+            ev(FlowStage::Arrived, 400, 0, 7, 1),
+        ];
+        let stages = [("wire_ns", hist(wire_vals))];
+        TraceDoc::decode(trace_json("unit", &[], &flows, &stages, frames).as_bytes()).unwrap()
     }
 
     #[test]
     fn trace_file_parses_flows_and_stages() {
-        let tf = TraceFile::parse(&sample_doc(&[100, 200, 300])).unwrap();
+        let tf = doc(&[100, 200, 300], &[]);
         assert_eq!(tf.workload, "unit");
         assert_eq!(tf.flows.len(), 4);
         assert_eq!(tf.flows[0].stage, FlowStage::Posted);
-        assert!(tf.violations().is_empty());
+        let chains = partix_profiler::assemble_chains(&tf.flows);
+        assert!(chains.iter().all(|c| c.violations().is_empty()));
         let (_, h) = &tf.stages[0];
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 600);
@@ -757,93 +268,98 @@ mod tests {
         assert!(text.contains("delta_timer_hold"));
     }
 
-    fn framed_doc() -> String {
-        "{\"meta\": {\"workload\": \"framed\", \"format\": 1},\n\
-         \"traceEvents\": [],\n\
-         \"flows\": [],\n\
-         \"stages\": {},\n\
-         \"frames\": [\n\
-           {\"seq\": 0, \"t_ns\": 1000, \"span_ns\": 1000, \"qps\": [], \"cqs\": [],\n\
-            \"wire\": {\"delivered\": 4, \"bytes_delivered\": 4096, \"retransmits\": 0},\n\
-            \"runtime\": {\"preadys\": 8, \"aggregated_wrs\": 2},\n\
-            \"arena\": {},\n\
-            \"stages\": {\"wire_ns\": {\"count\": 2, \"sum\": 600, \"max\": 400,\n\
-                         \"buckets\": [[256, 512, 2]]}},\n\
-            \"gauges\": {\"ring_full_stalls\": {\"total\": 7, \"delta\": 3}}},\n\
-           {\"seq\": 1, \"t_ns\": 2000, \"span_ns\": 1000, \"qps\": [], \"cqs\": [],\n\
-            \"wire\": {\"delivered\": 12, \"bytes_delivered\": 12288, \"retransmits\": 1},\n\
-            \"runtime\": {\"preadys\": 8, \"aggregated_wrs\": 6},\n\
-            \"arena\": {},\n\
-            \"stages\": {},\n\
-            \"gauges\": {}}\n\
-         ],\n\
-         \"displayTimeUnit\": \"ns\"}\n"
-            .to_string()
-    }
-
     #[test]
     fn trace_file_parses_frames_and_renders_the_timeline() {
-        let tf = TraceFile::parse(&framed_doc()).unwrap();
-        assert_eq!(tf.frames.len(), 2);
-        let f0 = &tf.frames[0];
-        assert_eq!((f0.seq, f0.t_ns, f0.span_ns), (0, 1000, 1000));
-        assert_eq!(f0.wire_val("delivered"), 4);
-        assert_eq!(f0.runtime_val("aggregated_wrs"), 2);
-        assert_eq!(f0.stage("wire_ns").unwrap().count, 2);
-        assert_eq!(f0.gauges, vec![("ring_full_stalls".to_string(), 7, 3)]);
-        // Absent fields read as zero rather than erroring.
-        assert_eq!(f0.wire_val("no_such_counter"), 0);
+        let frame = |seq: u64, delivered: u64, stages| {
+            let mut deltas = Snapshot::default();
+            deltas.wire.delivered = delivered;
+            deltas.runtime.aggregated_wrs = 2 * (seq + 1);
+            Frame {
+                seq,
+                t_ns: 1000 * (seq + 1),
+                span_ns: 1000,
+                deltas,
+                stages,
+                gauges: vec![FrameGauge {
+                    name: "ring_full_stalls",
+                    total: 7,
+                    delta: 3,
+                }],
+            }
+        };
+        let frames = [
+            frame(0, 4, vec![("wire_ns", hist(&[300, 300]))]),
+            frame(1, 12, Vec::new()),
+        ];
+        let tf = doc(&[100], &frames);
+        assert_eq!(tf.frames, frames);
 
         let text = timeline(&tf).expect("frames present");
-        assert!(text.contains("workload: framed, 2 windows"));
+        assert!(text.contains("workload: unit, 2 windows"));
         assert!(text.contains("wire_p99"));
         // Window 1 delivered three times window 0: the sparkline peaks there.
         let rates = text.lines().find(|l| l.contains("delivered |")).unwrap();
         assert!(rates.contains('█'), "peak window must render full: {rates}");
         assert!(rates.contains("peak 12/window"));
         // Unsampled traces yield no timeline.
-        let plain = TraceFile::parse(&sample_doc(&[100])).unwrap();
+        let plain = doc(&[100], &[]);
         assert!(plain.frames.is_empty());
         assert!(timeline(&plain).is_none());
     }
 
     #[test]
     fn latest_frame_exposition_mirrors_the_live_encoder() {
-        let tf = TraceFile::parse(&framed_doc()).unwrap();
-        let expo = latest_frame_exposition(&tf).unwrap();
+        let frame = |seq: u64, stages, gauges| {
+            let mut deltas = Snapshot::default();
+            deltas.wire.delivered = 4 * (seq + 2);
+            deltas.runtime.preadys = 8;
+            Frame {
+                seq,
+                t_ns: 1000 * (seq + 1),
+                span_ns: 1000,
+                deltas,
+                stages,
+                gauges,
+            }
+        };
+        let frames = [
+            frame(0, Vec::new(), Vec::new()),
+            frame(
+                1,
+                vec![("wire_ns", hist(&[300]))],
+                vec![FrameGauge {
+                    name: "ring_full_stalls",
+                    total: 7,
+                    delta: 3,
+                }],
+            ),
+        ];
+        // The `--expo` output of a decoded trace is byte for byte what the
+        // live encoder renders for the same latest window.
+        let tf = doc(&[100], &frames);
+        let expo = frame_exposition(tf.frames.last().expect("frames present"));
+        assert_eq!(expo, frame_exposition(&frames[1]));
         assert!(expo.contains("partix_window_seq 1"));
         assert!(expo.contains("partix_window_wire_delivered 12"));
         assert!(expo.contains("partix_window_runtime_preadys 8"));
-        let none = TraceFile::parse(&sample_doc(&[100])).unwrap();
-        assert!(latest_frame_exposition(&none).is_none());
-        // Gauges and stage windows of the latest frame expose as
-        // partix_gauge_* / partix_stage_*: parse a one-frame doc whose
-        // frame carries both.
-        let doc = "{\"meta\": {\"workload\": \"one\"}, \"flows\": [],\n\
-             \"frames\": [{\"seq\": 0, \"t_ns\": 10, \"span_ns\": 10,\n\
-             \"wire\": {}, \"runtime\": {}, \"arena\": {},\n\
-             \"stages\": {\"wire_ns\": {\"count\": 1, \"sum\": 300, \"max\": 300,\n\
-             \"buckets\": [[256, 512, 1]]}},\n\
-             \"gauges\": {\"ring_full_stalls\": {\"total\": 7, \"delta\": 3}}}]}";
-        let tf1 = TraceFile::parse(doc).unwrap();
-        assert_eq!(tf1.frames.len(), 1);
-        let expo1 = latest_frame_exposition(&tf1).unwrap();
-        assert!(expo1.contains("partix_gauge_ring_full_stalls 7"));
-        assert!(expo1.contains("partix_gauge_ring_full_stalls_delta 3"));
-        assert!(expo1.contains("# TYPE partix_stage_wire_ns histogram"));
+        assert!(expo.contains("partix_gauge_ring_full_stalls 7"));
+        assert!(expo.contains("partix_gauge_ring_full_stalls_delta 3"));
+        assert!(expo.contains("# TYPE partix_stage_wire_ns histogram"));
+        // Unsampled traces have no latest frame to expose.
+        assert!(doc(&[100], &[]).frames.last().is_none());
     }
 
     #[test]
     fn diff_flags_injected_regression() {
-        let base = TraceFile::parse(&sample_doc(&[100; 50])).unwrap();
-        let cand = TraceFile::parse(&sample_doc(
+        let base = doc(&[100; 50], &[]);
+        let cand = doc(
             &[100; 49]
                 .iter()
                 .copied()
                 .chain([100_000])
                 .collect::<Vec<_>>(),
-        ))
-        .unwrap();
+            &[],
+        );
         let (_, same) = diff(&base, &base, 0.10);
         assert!(same.is_empty());
         let (text, regs) = diff(&base, &cand, 0.10);

@@ -5,16 +5,16 @@
 //! Runs a real chaos full-stack workload with sampling and flow tracing
 //! enabled, arms a [`FlightRecorder`] over the live sampler, then kills a
 //! worker thread with an injected panic — the hook must leave behind a
-//! `flightrec_<tag>.json` that the `trace` tooling parses end to end:
-//! frames with monotone sequence numbers, a flow-log tail, a usable
-//! `trace timeline` rendering, and a Prometheus exposition of the last
-//! frame.
+//! `flightrec_<tag>.json` that the telemetry codec decodes end to end
+//! into the sampler's own frames: monotone sequence numbers, a flow-log
+//! tail, a usable `trace timeline` rendering, and a `--expo` exposition of
+//! the last frame byte-identical to the live encoder's.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use partix_bench::tracefile::{latest_frame_exposition, timeline, TraceFile};
-use partix_core::telemetry::{FlightRecorder, FlowLog};
+use partix_bench::tracefile::timeline;
+use partix_core::telemetry::{frame_exposition, FlightRecorder, FlowLog, TraceDoc};
 use partix_core::SimDuration;
 use partix_workloads::fullstack::{run_fullstack_instrumented, Executor, FullStackConfig};
 
@@ -57,9 +57,9 @@ fn injected_panic_leaves_a_parseable_flight_record() {
         "dump must record the panic message as its reason"
     );
 
-    // Well-formedness is defined by the consumer: the same parser behind
+    // Well-formedness is defined by the consumer: the same decoder behind
     // `trace timeline` must accept the dump wholesale.
-    let tf = TraceFile::load(&path).expect("flight record parses");
+    let tf = TraceDoc::decode(raw.as_bytes()).expect("flight record decodes");
     assert_eq!(
         tf.workload, "sys_panic",
         "meta.tag flows through as the workload"
@@ -77,13 +77,18 @@ fn injected_panic_leaves_a_parseable_flight_record() {
         );
         assert!(pair[1].t_ns >= pair[0].t_ns, "frame times must be monotone");
     }
-    let delivered: u64 = tf.frames.iter().map(|f| f.wire_val("delivered")).sum();
+    assert_eq!(tf.frames, sampler.frames(), "the dump decodes to the ring");
+    let delivered: u64 = tf.frames.iter().map(|f| f.deltas.wire.delivered).sum();
     assert!(delivered > 0, "frames must carry the run's wire activity");
     assert!(!tf.flows.is_empty(), "flow-log tail must be present");
 
     let rendered = timeline(&tf).expect("timeline renders from a flight record");
     assert!(rendered.contains("sys_panic"));
-    let expo = latest_frame_exposition(&tf).expect("exposition renders");
+    // `trace timeline --expo` exposes the last decoded frame: it must be
+    // the live encoder's output for the sampler's latest frame, byte for
+    // byte.
+    let expo = frame_exposition(tf.frames.last().expect("frames present"));
+    assert_eq!(expo, frame_exposition(&sampler.latest().unwrap()));
     assert!(expo.contains("partix_window_seq"));
 
     std::fs::remove_dir_all(&dir).ok();

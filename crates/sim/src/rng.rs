@@ -4,29 +4,20 @@
 //! derives from one root seed through stable stream splitting, so a run is
 //! reproducible from `(root_seed, experiment parameters)` alone.
 
+use partix_telemetry::digest::Fnv1a;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Derive a child seed for a named stream. Uses an FNV-1a style mix so that
+/// Derive a child seed for a named stream. Uses an FNV-1a mix so that
 /// distinct `(seed, stream, index)` triples map to well-spread seeds without
 /// pulling in a hashing dependency.
 pub fn split_seed(root: u64, stream: &str, index: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for b in root.to_le_bytes() {
-        mix(b);
-    }
-    for b in stream.as_bytes() {
-        mix(*b);
-    }
-    for b in index.to_le_bytes() {
-        mix(b);
-    }
+    let mut z = Fnv1a::new()
+        .u64(root)
+        .bytes(stream.as_bytes())
+        .u64(index)
+        .finish();
     // Final avalanche (splitmix64 finaliser).
-    let mut z = h;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -14,16 +14,6 @@ use crate::snapshot::{ArenaSnapshot, CqSnapshot, RuntimeSnapshot, WireSnapshot};
 /// RetryExceeded, RnrRetryExceeded, LocalLengthError — in that order.
 pub const STATUS_SLOTS: usize = 5;
 
-/// Human-readable names for each status slot, index-aligned with
-/// [`STATUS_SLOTS`] and the verbs `WcStatus` discriminants.
-pub const STATUS_NAMES: [&str; STATUS_SLOTS] = [
-    "success",
-    "remote_access_error",
-    "retry_exceeded",
-    "rnr_retry_exceeded",
-    "local_length_error",
-];
-
 /// A single monotonic event counter.
 ///
 /// All operations use `Relaxed` ordering: counters are a ledger reconciled

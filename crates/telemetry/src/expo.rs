@@ -6,9 +6,6 @@
 //! the log-bucket upper bounds, so `le` values are exact integers.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 use crate::hist::HistSnapshot;
 use crate::timeseries::Frame;
@@ -32,14 +29,6 @@ pub fn exposition(stages: &[(&str, HistSnapshot)]) -> String {
         let _ = writeln!(s, "{metric}_count {}", snap.count);
     }
     s
-}
-
-/// Write the exposition to `path`, creating parent directories as needed.
-pub fn write_exposition(path: &Path, stages: &[(&str, HistSnapshot)]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, exposition(stages))
 }
 
 /// Render the latest sampler [`Frame`] in Prometheus text format: window

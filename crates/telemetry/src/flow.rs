@@ -106,7 +106,7 @@ impl FlowStage {
 }
 
 /// One timestamped stage transition of a flow.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowEvent {
     /// Flow identifier (world-unique, minted at WR build; never 0).
     pub flow: u64,

@@ -1,19 +1,20 @@
 //! Hand-written JSON writers for the export artifacts:
-//! `telemetry_<tag>.json` (full ledger + invariant report) and
-//! `trace_<tag>.json` (chrome-trace events plus flow events and stage
-//! histograms for the `trace` analyzer), loadable in `chrome://tracing` /
-//! Perfetto, which ignore the extra top-level keys.
+//! `telemetry_<tag>.json` (ledger + invariant verdict), `trace_<tag>.json`
+//! (chrome-trace events plus flow events, stage histograms and frames for
+//! the `trace` analyzer; `chrome://tracing` and Perfetto ignore the extra
+//! top-level keys) and `flightrec_<tag>.json` (the flight-recorder dump).
 //!
 //! The workspace has no serde; like the bench result writers, these build
 //! the strings directly. All keys are static and all values are integers
-//! or escaped strings, so the output is always valid JSON.
+//! or escaped strings, so the output is always valid JSON. Every document
+//! reads back through the decoder in `codec.rs`, the exact inverse of
+//! these writers.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::counters::STATUS_NAMES;
 use crate::flow::{FlowEvent, FlowStage};
 use crate::hist::HistSnapshot;
 use crate::invariants::Report;
@@ -46,158 +47,28 @@ pub fn write_telemetry_json(path: &Path, snap: &Snapshot, report: &Report) -> io
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    fs::write(path, telemetry_json(snap, report))
+    fs::write(path, telemetry_json(snap, &report.violations))
 }
 
-fn telemetry_json(snap: &Snapshot, report: &Report) -> String {
+/// Render the telemetry artifact: the ledger through the same field-list
+/// encoder frames use, then the invariant verdict and each violation's
+/// text.
+pub fn telemetry_json<V: Display>(snap: &Snapshot, violations: &[V]) -> String {
     let mut s = String::with_capacity(4096);
-    s.push_str("{\n  \"qps\": [");
-    for (i, q) in snap.qps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"node\": {}, \"qp_num\": {}, \"state\": \"{}\", \"outstanding\": {}, \
-             \"recv_queue_depth\": {}, \"send_posted\": {}, \"recv_posted\": {}, \
-             \"recv_consumed\": {}, \"completed_success\": {}, \"completed_error\": {}, \
-             \"bytes_posted\": {}, \"bytes_completed\": {}, \"recoveries\": {}, \
-             \"slot_underflows\": {}}}",
-            q.node,
-            q.qp_num,
-            escape(q.state),
-            q.outstanding,
-            q.recv_queue_depth,
-            q.send_posted,
-            q.recv_posted,
-            q.recv_consumed,
-            q.completed_success,
-            q.completed_error,
-            q.bytes_posted,
-            q.bytes_completed,
-            q.recoveries,
-            q.slot_underflows,
-        );
-    }
-    s.push_str("\n  ],\n  \"cqs\": [");
-    for (i, c) in snap.cqs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n    {{\"cq_id\": {}, \"pushed\": {{", c.cq_id);
-        for (j, (name, count)) in STATUS_NAMES.iter().zip(c.pushed_by_status).enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{name}\": {count}");
-        }
-        let _ = write!(
-            s,
-            "}}, \"pushed_total\": {}, \"polled\": {}, \"recv_pushed\": {}, \"recv_bytes\": {}}}",
-            c.pushed_total, c.polled, c.recv_pushed, c.recv_bytes,
-        );
-    }
-    let w = &snap.wire;
+    s.push_str("{\"format\": 1,\n");
+    push_snapshot(&mut s, snap);
     let _ = write!(
         s,
-        "\n  ],\n  \"wire\": {{\n    \"inner_submissions\": {}, \"retransmits\": {}, \
-         \"dropped\": {}, \"duplicates_injected\": {}, \"delayed\": {}, \"exhausted\": {},\n    \
-         \"injected_faults\": {}, \"rnr_requeues\": {}, \"mtu_segments\": {}, \
-         \"delivery_attempts\": {},\n    \"delivered\": {}, \"delivered_ghost\": {}, \
-         \"duplicates_suppressed\": {}, \"remote_errors\": {},\n    \"receiver_not_ready\": {}, \
-         \"length_errors\": {}, \"bytes_delivered\": {}, \"recv_cqes\": {}\n  }},",
-        w.inner_submissions,
-        w.retransmits,
-        w.dropped,
-        w.duplicates_injected,
-        w.delayed,
-        w.exhausted,
-        w.injected_faults,
-        w.rnr_requeues,
-        w.mtu_segments,
-        w.delivery_attempts,
-        w.delivered,
-        w.delivered_ghost,
-        w.duplicates_suppressed,
-        w.remote_errors,
-        w.receiver_not_ready,
-        w.length_errors,
-        w.bytes_delivered,
-        w.recv_cqes,
+        ",\n\"invariants\": {{\"clean\": {}, \"violations\": [",
+        violations.is_empty()
     );
-    let r = &snap.runtime;
-    let _ = write!(
-        s,
-        "\n  \"runtime\": {{\n    \"preadys\": {}, \"timer_fires\": {}, \"aggregated_wrs\": {}, \
-         \"partitions_posted\": {},\n    \"pending_spills\": {}, \"pending_reposts\": {}, \
-         \"recoveries\": {},\n    \"decisions\": {{\"table\": {}, \"table_fallback\": {}, \
-         \"model\": {}, \"fixed\": {}}}\n  }},",
-        r.preadys,
-        r.timer_fires,
-        r.aggregated_wrs,
-        r.partitions_posted,
-        r.pending_spills,
-        r.pending_reposts,
-        r.recoveries,
-        r.table_decisions,
-        r.table_fallback_decisions,
-        r.model_decisions,
-        r.fixed_decisions,
-    );
-    let a = &snap.arena;
-    let _ = write!(
-        s,
-        "\n  \"arena\": {{\n    \"pool_gets\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
-         \"pool_returns\": {}, \"live_high_water\": {}\n  }},",
-        a.pool_gets, a.pool_hits, a.pool_misses, a.pool_returns, a.live_high_water,
-    );
-    let _ = write!(
-        s,
-        "\n  \"invariants\": {{\n    \"clean\": {},\n    \"violations\": [",
-        report.is_clean(),
-    );
-    for (i, v) in report.violations.iter().enumerate() {
+    for (i, v) in violations.iter().enumerate() {
         if i > 0 {
-            s.push(',');
+            s.push_str(", ");
         }
-        let _ = write!(s, "\n      \"{}\"", escape(&v.to_string()));
+        let _ = write!(s, "\"{}\"", escape(&v.to_string()));
     }
-    s.push_str("\n    ]\n  }\n}\n");
-    s
-}
-
-/// Write spans as a chrome-trace JSON array-format file at `path`,
-/// creating parent directories as needed. Load in `chrome://tracing` or
-/// <https://ui.perfetto.dev>. Timestamps are converted from nanoseconds to
-/// the microseconds the format expects, preserving sub-µs precision as
-/// fractional values.
-pub fn write_chrome_trace(path: &Path, spans: &[SpanEvent]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, chrome_trace_json(spans))
-}
-
-fn chrome_trace_json(spans: &[SpanEvent]) -> String {
-    let mut s = String::with_capacity(128 + spans.len() * 128);
-    s.push_str("{\"traceEvents\": [");
-    for (i, e) in spans.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {}, \"tid\": {}, \
-             \"ts\": {}, \"dur\": {}}}",
-            escape(&e.name),
-            escape(e.cat),
-            e.pid,
-            e.tid,
-            micros(e.ts_ns),
-            micros(e.dur_ns),
-        );
-    }
-    s.push_str("\n], \"displayTimeUnit\": \"ns\"}\n");
+    s.push_str("]}}\n");
     s
 }
 
@@ -247,15 +118,12 @@ fn push_stage_map(s: &mut String, stages: &[(&str, HistSnapshot)], pad: &str) {
     s.push('}');
 }
 
-/// Append one [`Frame`] as a compact JSON object (ledger deltas, stage
-/// windows, gauges) with the same key names as the telemetry artifact.
-fn push_frame_obj(s: &mut String, f: &Frame) {
-    let _ = write!(
-        s,
-        "{{\"seq\": {}, \"t_ns\": {}, \"span_ns\": {}, \"qps\": [",
-        f.seq, f.t_ns, f.span_ns
-    );
-    for (i, q) in f.deltas.qps.iter().enumerate() {
+/// Append a ledger's `"qps", "cqs", "wire", "runtime", "arena"` members,
+/// without surrounding braces: the shared body of frames and the telemetry
+/// artifact.
+fn push_snapshot(s: &mut String, snap: &Snapshot) {
+    s.push_str("\"qps\": [");
+    for (i, q) in snap.qps.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -270,7 +138,7 @@ fn push_frame_obj(s: &mut String, f: &Frame) {
         s.push('}');
     }
     s.push_str("], \"cqs\": [");
-    for (i, c) in f.deltas.cqs.iter().enumerate() {
+    for (i, c) in snap.cqs.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -286,12 +154,24 @@ fn push_frame_obj(s: &mut String, f: &Frame) {
         s.push('}');
     }
     s.push_str("], \"wire\": {");
-    push_pairs(s, &f.deltas.wire.fields());
+    push_pairs(s, &snap.wire.fields());
     s.push_str("}, \"runtime\": {");
-    push_pairs(s, &f.deltas.runtime.fields());
+    push_pairs(s, &snap.runtime.fields());
     s.push_str("}, \"arena\": {");
-    push_pairs(s, &f.deltas.arena.fields());
-    s.push_str("}, \"stages\": ");
+    push_pairs(s, &snap.arena.fields());
+    s.push('}');
+}
+
+/// Append one [`Frame`] as a compact JSON object (ledger deltas, stage
+/// windows, gauges) with the same key names as the telemetry artifact.
+fn push_frame_obj(s: &mut String, f: &Frame) {
+    let _ = write!(
+        s,
+        "{{\"seq\": {}, \"t_ns\": {}, \"span_ns\": {}, ",
+        f.seq, f.t_ns, f.span_ns
+    );
+    push_snapshot(s, &f.deltas);
+    s.push_str(", \"stages\": ");
     push_stage_map(s, &f.stages, "    ");
     s.push_str(", \"gauges\": {");
     for (i, g) in f.gauges.iter().enumerate() {
@@ -370,23 +250,13 @@ pub fn flightrec_json(tag: &str, reason: &str, frames: &[Frame], flows: &[FlowEv
 /// Write the full trace artifact for one run at `path`: chrome-trace span
 /// events plus, when flow tracing was armed, flow arrows ("s"/"f" pairs
 /// linking each flow's post to its arrival), the raw flow-event list, and
-/// the per-stage latency histograms. Chrome-trace viewers render the
-/// `traceEvents` array and ignore the extra keys; the `trace` analyzer
-/// reads `flows` and `stages`.
+/// the per-stage latency histograms; when the run was sampled, the frame
+/// ring under a `frames` key and per-window chrome counter tracks (`ph:
+/// "C"`) so Perfetto plots delivery and aggregation rates over the span
+/// timeline. Chrome-trace viewers render the `traceEvents` array and
+/// ignore the extra keys; the `trace` analyzer reads `flows`, `stages` and
+/// `frames`.
 pub fn write_trace_json(
-    path: &Path,
-    workload: &str,
-    spans: &[SpanEvent],
-    flows: &[FlowEvent],
-    stages: &[(&str, HistSnapshot)],
-) -> io::Result<()> {
-    write_trace_json_with_frames(path, workload, spans, flows, stages, &[])
-}
-
-/// [`write_trace_json`] plus the sampler's frame ring under a `frames`
-/// key, and per-window chrome counter tracks (`ph: "C"`) so Perfetto plots
-/// delivery and aggregation rates over the span timeline.
-pub fn write_trace_json_with_frames(
     path: &Path,
     workload: &str,
     spans: &[SpanEvent],
@@ -400,7 +270,8 @@ pub fn write_trace_json_with_frames(
     fs::write(path, trace_json(workload, spans, flows, stages, frames))
 }
 
-fn trace_json(
+/// Render the trace artifact [`write_trace_json`] writes.
+pub fn trace_json(
     workload: &str,
     spans: &[SpanEvent],
     flows: &[FlowEvent],
@@ -501,7 +372,6 @@ mod tests {
     use super::*;
     use crate::invariants;
     use crate::snapshot::Snapshot;
-    use crate::trace::SpanEvent;
 
     #[test]
     fn escape_handles_specials() {
@@ -520,7 +390,7 @@ mod tests {
     fn telemetry_json_is_balanced() {
         let snap = Snapshot::default();
         let report = invariants::check(&snap);
-        let text = telemetry_json(&snap, &report);
+        let text = telemetry_json(&snap, &report.violations);
         // Structural sanity without a JSON parser: balanced delimiters and
         // the expected top-level keys.
         assert_eq!(
@@ -628,22 +498,5 @@ mod tests {
         assert_eq!(text.matches('[').count(), text.matches(']').count());
         assert!(text.contains("\"reason\": \"panic: boom\""));
         assert!(text.contains("[1, \"posted\", 10, 2, 0, 0]"));
-    }
-
-    #[test]
-    fn chrome_trace_escapes_and_balances() {
-        let spans = vec![SpanEvent {
-            name: "wire \"hot\"".into(),
-            cat: "resource",
-            pid: 1,
-            tid: 2,
-            ts_ns: 1500,
-            dur_ns: 250,
-        }];
-        let text = chrome_trace_json(&spans);
-        assert!(text.contains("\\\"hot\\\""));
-        assert!(text.contains("\"ts\": 1.500"));
-        assert!(text.contains("\"dur\": 0.250"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
     }
 }

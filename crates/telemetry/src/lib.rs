@@ -17,13 +17,21 @@
 //!   one site, and the sites are chosen so conservation laws hold *by
 //!   construction*: `invariants::check` failing means an instrumentation or
 //!   accounting bug, not noise.
-//! - **No serde.** JSON exports ([`write_telemetry_json`],
-//!   [`write_chrome_trace`]) are hand-written, like the rest of the
-//!   workspace's result files.
+//! - **No serde; one codec.** The artifacts (`telemetry_<tag>.json`,
+//!   `trace_<tag>.json`, `flightrec_<tag>.json`) are written by hand-built
+//!   JSON writers ([`write_telemetry_json`], [`write_trace_json`],
+//!   [`flightrec_json`]) and read back by their exact inverse in the same
+//!   crate ([`TraceDoc::decode`], [`TelemetryDoc::decode`],
+//!   [`decode_frames`]) into the real [`Frame`], [`Snapshot`],
+//!   [`HistSnapshot`] and [`FlowEvent`] values. The reader bounds nesting,
+//!   reads integers exactly and turns any malformed input into a
+//!   [`DecodeError`], never a panic.
 
 #![warn(missing_docs)]
 
+mod codec;
 mod counters;
+pub mod digest;
 mod expo;
 mod flightrec;
 mod flow;
@@ -35,25 +43,25 @@ mod trace;
 
 pub mod invariants;
 
+pub use codec::{decode_frames, DecodeError, TelemetryDoc, TraceDoc};
 pub use counters::{
     segments_for, ArenaCounters, Counter, CqCounters, QpCounters, Registry, RuntimeCounters,
-    WireCounters, STATUS_NAMES, STATUS_SLOTS,
+    WireCounters, STATUS_SLOTS,
 };
-pub use expo::{exposition, frame_exposition, write_exposition};
+pub use expo::{exposition, frame_exposition};
 pub use flightrec::FlightRecorder;
 pub use flow::{
     ClockHook, FlowEvent, FlowLog, FlowRecorder, FlowStage, StageHistograms, STAGE_HIST_NAMES,
 };
 pub use hist::{HistBucket, HistSnapshot, LogHistogram};
 pub use json::{
-    flightrec_json, frames_json, write_chrome_trace, write_telemetry_json, write_trace_json,
-    write_trace_json_with_frames,
+    flightrec_json, frames_json, telemetry_json, trace_json, write_telemetry_json, write_trace_json,
 };
 pub use snapshot::{
-    ArenaSnapshot, CqSnapshot, QpSnapshot, RuntimeSnapshot, Snapshot, WireSnapshot,
+    ArenaSnapshot, CqSnapshot, QpSnapshot, RuntimeSnapshot, Snapshot, WireSnapshot, QP_STATE_NAMES,
 };
 pub use timeseries::{
     hist_delta, snapshot_accum, snapshot_delta, stages_delta, Frame, FrameGauge, Sample,
-    SampleSource, Sampler, SamplerConfig,
+    SampleSource, Sampler, SamplerConfig, SHM_GAUGE_NAMES,
 };
 pub use trace::{SpanEvent, SpanLog};

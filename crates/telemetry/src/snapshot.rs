@@ -2,15 +2,21 @@
 //! and JSON export.
 
 use crate::counters::STATUS_SLOTS;
+use crate::digest::Fnv1a;
+
+/// Every QP state name a snapshot can carry, indexed by the verbs
+/// `QpState` discriminant (Reset, Init, RTR, RTS, Error). `QpState::name`
+/// reads it and the decoder accepts nothing else.
+pub const QP_STATE_NAMES: [&str; 5] = ["RESET", "INIT", "RTR", "RTS", "ERROR"];
 
 /// Frozen view of one queue pair's ledger plus its live state.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QpSnapshot {
     /// Node that owns the QP.
     pub node: u32,
     /// QP number.
     pub qp_num: u32,
-    /// QP state name at snapshot time (e.g. `"RTS"`, `"Error"`).
+    /// QP state name at snapshot time, one of [`QP_STATE_NAMES`].
     pub state: &'static str,
     /// Send WRs currently posted but not yet completed (live slot count).
     pub outstanding: u64,
@@ -37,7 +43,7 @@ pub struct QpSnapshot {
 }
 
 /// Frozen view of one completion queue's ledger.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CqSnapshot {
     /// CQ identifier.
     pub cq_id: u32,
@@ -108,96 +114,51 @@ pub struct ArenaSnapshot {
     pub live_high_water: u64,
 }
 
-impl QpSnapshot {
-    /// The numeric fields as `(name, value)` pairs in export order (gauges
-    /// first, then the monotone counters), for tabular and JSON rendering.
-    pub fn counter_fields(&self) -> [(&'static str, u64); 11] {
-        [
-            ("outstanding", self.outstanding),
-            ("recv_queue_depth", self.recv_queue_depth),
-            ("send_posted", self.send_posted),
-            ("recv_posted", self.recv_posted),
-            ("recv_consumed", self.recv_consumed),
-            ("completed_success", self.completed_success),
-            ("completed_error", self.completed_error),
-            ("bytes_posted", self.bytes_posted),
-            ("bytes_completed", self.bytes_completed),
-            ("recoveries", self.recoveries),
-            ("slot_underflows", self.slot_underflows),
-        ]
-    }
+/// Generate a ledger row's by-name field list (`$get`, in export order)
+/// and its mutable twin (`$set`). The JSON writer, the decoder, the
+/// exposition and the ledger digest all walk these lists, so a field
+/// added here is exported, read back and digested everywhere at once.
+macro_rules! field_list {
+    ($ty:ty, $get:ident, $set:ident, $n:literal, [$($f:ident),+ $(,)?]) => {
+        impl $ty {
+            /// The counters as `(name, value)` pairs in export order.
+            pub fn $get(&self) -> [(&'static str, u64); $n] {
+                [$((stringify!($f), self.$f)),+]
+            }
+
+            /// The same list with each counter's slot, for decoding and
+            /// field-wise arithmetic.
+            pub(crate) fn $set(&mut self) -> [(&'static str, &mut u64); $n] {
+                [$((stringify!($f), &mut self.$f)),+]
+            }
+        }
+    };
 }
 
-impl CqSnapshot {
-    /// The scalar counters as `(name, value)` pairs in export order (the
-    /// per-status breakdown is rendered separately).
-    pub fn counter_fields(&self) -> [(&'static str, u64); 4] {
-        [
-            ("pushed_total", self.pushed_total),
-            ("polled", self.polled),
-            ("recv_pushed", self.recv_pushed),
-            ("recv_bytes", self.recv_bytes),
-        ]
-    }
-}
-
-impl WireSnapshot {
-    /// Every counter as a `(name, value)` pair in ledger order.
-    pub fn fields(&self) -> [(&'static str, u64); 18] {
-        [
-            ("inner_submissions", self.inner_submissions),
-            ("retransmits", self.retransmits),
-            ("dropped", self.dropped),
-            ("duplicates_injected", self.duplicates_injected),
-            ("delayed", self.delayed),
-            ("exhausted", self.exhausted),
-            ("injected_faults", self.injected_faults),
-            ("rnr_requeues", self.rnr_requeues),
-            ("mtu_segments", self.mtu_segments),
-            ("delivery_attempts", self.delivery_attempts),
-            ("delivered", self.delivered),
-            ("delivered_ghost", self.delivered_ghost),
-            ("duplicates_suppressed", self.duplicates_suppressed),
-            ("remote_errors", self.remote_errors),
-            ("receiver_not_ready", self.receiver_not_ready),
-            ("length_errors", self.length_errors),
-            ("bytes_delivered", self.bytes_delivered),
-            ("recv_cqes", self.recv_cqes),
-        ]
-    }
-}
-
-impl RuntimeSnapshot {
-    /// Every counter as a `(name, value)` pair in ledger order.
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
-        [
-            ("preadys", self.preadys),
-            ("timer_fires", self.timer_fires),
-            ("aggregated_wrs", self.aggregated_wrs),
-            ("partitions_posted", self.partitions_posted),
-            ("pending_spills", self.pending_spills),
-            ("pending_reposts", self.pending_reposts),
-            ("recoveries", self.recoveries),
-            ("table_decisions", self.table_decisions),
-            ("table_fallback_decisions", self.table_fallback_decisions),
-            ("model_decisions", self.model_decisions),
-            ("fixed_decisions", self.fixed_decisions),
-        ]
-    }
-}
-
-impl ArenaSnapshot {
-    /// Every counter as a `(name, value)` pair in ledger order.
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("pool_gets", self.pool_gets),
-            ("pool_hits", self.pool_hits),
-            ("pool_misses", self.pool_misses),
-            ("pool_returns", self.pool_returns),
-            ("live_high_water", self.live_high_water),
-        ]
-    }
-}
+// QP rows list the live gauges first, then the monotone counters.
+field_list! { QpSnapshot, counter_fields, counter_fields_mut, 11, [
+    outstanding, recv_queue_depth, send_posted, recv_posted, recv_consumed,
+    completed_success, completed_error, bytes_posted, bytes_completed, recoveries,
+    slot_underflows,
+] }
+// CQ rows: the per-status breakdown is rendered separately.
+field_list! { CqSnapshot, counter_fields, counter_fields_mut, 4, [
+    pushed_total, polled, recv_pushed, recv_bytes,
+] }
+field_list! { WireSnapshot, fields, fields_mut, 18, [
+    inner_submissions, retransmits, dropped, duplicates_injected, delayed, exhausted,
+    injected_faults, rnr_requeues, mtu_segments, delivery_attempts, delivered,
+    delivered_ghost, duplicates_suppressed, remote_errors, receiver_not_ready,
+    length_errors, bytes_delivered, recv_cqes,
+] }
+field_list! { RuntimeSnapshot, fields, fields_mut, 11, [
+    preadys, timer_fires, aggregated_wrs, partitions_posted, pending_spills,
+    pending_reposts, recoveries, table_decisions, table_fallback_decisions,
+    model_decisions, fixed_decisions,
+] }
+field_list! { ArenaSnapshot, fields, fields_mut, 5, [
+    pool_gets, pool_hits, pool_misses, pool_returns, live_high_water,
+] }
 
 /// A complete, self-consistent copy of every ledger in one network.
 ///
@@ -253,91 +214,36 @@ impl Snapshot {
     /// the runtime and the arena — the comparison the sharded-executor
     /// determinism suites use as their "telemetry ledger equality" check.
     pub fn ledger_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut put = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
 
         let mut qps: Vec<&QpSnapshot> = self.qps.iter().collect();
         qps.sort_by_key(|q| (q.node, q.qp_num));
-        put(qps.len() as u64);
+        h.u64(qps.len() as u64);
         for q in qps {
-            put(q.node as u64);
-            put(q.qp_num as u64);
+            h.u64(q.node as u64).u64(q.qp_num as u64);
             for b in q.state.as_bytes() {
-                put(*b as u64);
+                h.u64(*b as u64);
             }
-            put(q.outstanding);
-            put(q.recv_queue_depth);
-            put(q.send_posted);
-            put(q.recv_posted);
-            put(q.recv_consumed);
-            put(q.completed_success);
-            put(q.completed_error);
-            put(q.bytes_posted);
-            put(q.bytes_completed);
-            put(q.recoveries);
-            put(q.slot_underflows);
+            for (_, v) in q.counter_fields() {
+                h.u64(v);
+            }
         }
 
         let mut cqs: Vec<&CqSnapshot> = self.cqs.iter().collect();
         cqs.sort_by_key(|c| c.cq_id);
-        put(cqs.len() as u64);
+        h.u64(cqs.len() as u64);
         for c in cqs {
-            put(c.cq_id as u64);
-            for s in c.pushed_by_status {
-                put(s);
+            h.u64(c.cq_id as u64);
+            for v in c.pushed_by_status {
+                h.u64(v);
             }
-            put(c.pushed_total);
-            put(c.polled);
-            put(c.recv_pushed);
-            put(c.recv_bytes);
+            for (_, v) in c.counter_fields() {
+                h.u64(v);
+            }
         }
 
-        let w = &self.wire;
-        for v in [
-            w.inner_submissions,
-            w.retransmits,
-            w.dropped,
-            w.duplicates_injected,
-            w.delayed,
-            w.exhausted,
-            w.injected_faults,
-            w.rnr_requeues,
-            w.mtu_segments,
-            w.delivery_attempts,
-            w.delivered,
-            w.delivered_ghost,
-            w.duplicates_suppressed,
-            w.remote_errors,
-            w.receiver_not_ready,
-            w.length_errors,
-            w.bytes_delivered,
-            w.recv_cqes,
-        ] {
-            put(v);
-        }
-
-        let r = &self.runtime;
-        for v in [
-            r.preadys,
-            r.timer_fires,
-            r.aggregated_wrs,
-            r.partitions_posted,
-            r.pending_spills,
-            r.pending_reposts,
-            r.recoveries,
-            r.table_decisions,
-            r.table_fallback_decisions,
-            r.model_decisions,
-            r.fixed_decisions,
-        ] {
-            put(v);
+        for (_, v) in self.wire.fields().into_iter().chain(self.runtime.fields()) {
+            h.u64(v);
         }
 
         // Arena: only the commutative totals. Hit/miss splits and the live
@@ -345,10 +251,7 @@ impl Snapshot {
         // accesses when events execute on parallel shards, so they are
         // excluded — they may legitimately differ between executors that
         // perform identical virtual-time work.
-        let a = &self.arena;
-        put(a.pool_gets);
-        put(a.pool_returns);
-
-        h
+        h.u64(self.arena.pool_gets).u64(self.arena.pool_returns);
+        h.finish()
     }
 }

@@ -39,6 +39,7 @@ use crate::qp::{QpCaps, QueuePair};
 use crate::shm::{ShmConfig, ShmFabric};
 use crate::types::{imm, Opcode, QpState, RecvWr, SendWr, Sge, WcStatus, WorkCompletion};
 use crate::VerbsError;
+use partix_telemetry::digest::Fnv1a;
 use partix_telemetry::{invariants, FlowLog, FlowStage};
 
 /// The execution substrates under conformance.
@@ -311,14 +312,7 @@ impl Drop for Bed {
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over a byte slice: the digest's payload fingerprint.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use partix_telemetry::digest::fnv1a;
 
 /// Render one completion as a stable digest line (no timestamps, no QP
 /// numbers — only backend-invariant facts).
@@ -1233,7 +1227,7 @@ fn s_sequential_stream(kind: BackendKind) -> Vec<String> {
     let (a, b) = bed.pair();
     let src = a.mr(64);
     let dst = b.mr(64);
-    let mut running = 0xcbf2_9ce4_8422_2325u64;
+    let mut running = Fnv1a::new();
     for i in 0..700u64 {
         let payload = pattern(i, 64);
         src.write(0, &payload).expect("fill");
@@ -1251,12 +1245,9 @@ fn s_sequential_stream(kind: BackendKind) -> Vec<String> {
             bed.kind.name()
         );
         let _ = bed.await_wc(&b.recv_cq, "recv CQE");
-        for &byte in &dst.read_vec(0, 64).expect("read") {
-            running ^= byte as u64;
-            running = running.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        running.bytes(&dst.read_vec(0, 64).expect("read"));
     }
-    let out = vec![format!("stream of 700 hash={running:#x}")];
+    let out = vec![format!("stream of 700 hash={:#x}", running.finish())];
     bed.check_invariants(true);
     out
 }

@@ -16,8 +16,8 @@ use partix_telemetry::CqCounters;
 
 use crate::types::{WcOpcode, WcStatus, WorkCompletion};
 
-/// Index of `status` in the telemetry per-status buckets (aligned with
-/// `partix_telemetry::STATUS_NAMES`).
+/// Index of `status` in the telemetry per-status buckets (the order
+/// `partix_telemetry::STATUS_SLOTS` documents).
 fn status_slot(status: WcStatus) -> usize {
     match status {
         WcStatus::Success => 0,

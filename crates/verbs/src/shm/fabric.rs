@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use partix_telemetry::{segments_for, FlowStage, Sampler};
+use partix_telemetry::{segments_for, FlowStage, Sampler, SHM_GAUGE_NAMES};
 
 use crate::buf::{InlineVec, PooledBuf};
 use crate::fabric::{
@@ -361,17 +361,17 @@ impl ShmFabric {
     /// The fabric-level gauges a composed [`Sample`](partix_telemetry::Sample)
     /// source should carry: progress-loop activity and ring occupancy.
     pub fn sample_gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("progress_iterations", self.progress_iterations()),
-            ("progress_wakeups", self.progress_wakeups()),
-            (
-                "ring_occupancy_high_water",
+        SHM_GAUGE_NAMES
+            .into_iter()
+            .zip([
+                self.progress_iterations(),
+                self.progress_wakeups(),
                 self.ring_occupancy_high_water(),
-            ),
-            ("ring_full_stalls", self.ring_full_stalls()),
-            ("rnr_deferrals", self.rnr_deferrals()),
-            ("stale_acks", self.stale_acks()),
-        ]
+                self.ring_full_stalls(),
+                self.rnr_deferrals(),
+                self.stale_acks(),
+            ])
+            .collect()
     }
 
     /// Whether nothing is in flight on this fabric: every consumable ring

@@ -203,13 +203,7 @@ impl QpState {
 
     /// Short conventional name, as used in telemetry snapshots.
     pub fn name(self) -> &'static str {
-        match self {
-            QpState::Reset => "RESET",
-            QpState::Init => "INIT",
-            QpState::ReadyToReceive => "RTR",
-            QpState::ReadyToSend => "RTS",
-            QpState::Error => "ERROR",
-        }
+        partix_telemetry::QP_STATE_NAMES[self as usize]
     }
 }
 

@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use partix_core::telemetry::digest::Fnv1a;
 use partix_core::{
     PartixConfig, PrecvRequest, PsendRequest, Scheduler, SimDuration, SimTime, World,
 };
@@ -228,26 +229,15 @@ impl Coord {
 
 /// FNV-1a over the canonical record stream.
 fn digest_records(samples: &[Mutex<Vec<Record>>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut put = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
     for (rank, cell) in samples.iter().enumerate() {
         let log = cell.lock();
-        put(rank as u64);
-        put(log.len() as u64);
+        h.u64(rank as u64).u64(log.len() as u64);
         for rec in log.iter() {
-            put(rec.iter);
-            put(rec.side as u64);
-            put(rec.at_ns);
+            h.u64(rec.iter).u64(rec.side as u64).u64(rec.at_ns);
         }
     }
-    h
+    h.finish()
 }
 
 /// Run the full-stack ring on `executor`, returning the report alongside the

@@ -13,6 +13,7 @@
 //! would). A Jacobi-style stencil then verifies that the halos carry the
 //! right values.
 
+use partix_core::telemetry::digest::Fnv1a;
 use partix_core::{AggregatorKind, MemoryRegion, PartixConfig, PrecvRequest, PsendRequest, World};
 
 /// Tile edge length in cells.
@@ -77,7 +78,7 @@ fn main() {
     // Every verified halo byte feeds a running FNV-1a digest printed at
     // the end; the CI smoke test pins it, so a change in delivered bytes
     // (not just assertion health) fails loudly.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv1a::new();
     for iter in 0..4u32 {
         // Start all receives, then all sends.
         for rank in links.iter() {
@@ -121,10 +122,7 @@ fn main() {
                         .rbuf
                         .read_vec(strip as usize * strip_bytes, 8)
                         .expect("read strip");
-                    for &b in &got {
-                        digest ^= b as u64;
-                        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
+                    digest.bytes(&got);
                     let got = f64::from_le_bytes(got.try_into().unwrap());
                     let want = halo_value(iter, rank_id as u32, dir as u32, strip);
                     assert!(
@@ -136,7 +134,7 @@ fn main() {
         }
         println!("iteration {iter}: all halos verified");
     }
-    println!("halo_exchange OK digest={digest:#018x}");
+    println!("halo_exchange OK digest={:#018x}", digest.finish());
 }
 
 /// Deterministic cell value for (iteration, sending rank, direction, strip).

@@ -10,6 +10,7 @@
 //! fabric. The PLogGP aggregator decides how many RDMA-write-with-immediate
 //! work requests actually hit the wire.
 
+use partix_core::telemetry::digest::Fnv1a;
 use partix_core::{AggregatorKind, PartixConfig, World};
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
     // receiver observes feeds a running FNV-1a digest printed at the end:
     // the CI smoke test pins that digest, so any change in what actually
     // lands (not just whether the asserts pass) fails loudly.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv1a::new();
     for round in 0..3u8 {
         recv.start().expect("recv start");
         send.start().expect("send start");
@@ -82,10 +83,7 @@ fn main() {
                 got.iter().all(|b| *b == round.wrapping_mul(17) ^ i as u8),
                 "partition {i} corrupted"
             );
-            for &b in &got {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            digest.bytes(&got);
         }
         println!(
             "round {round}: {} partitions delivered in {} work request(s) total",
@@ -93,5 +91,5 @@ fn main() {
             send.total_wrs_posted(),
         );
     }
-    println!("quickstart OK digest={digest:#018x}");
+    println!("quickstart OK digest={:#018x}", digest.finish());
 }

@@ -7,7 +7,14 @@
 //! - a `Sampler` fed an arbitrary monotone snapshot sequence emits frames
 //!   whose sum reproduces the final cumulative snapshot;
 //! - a chaos full-stack run produces a frame sequence byte-identical across
-//!   the sequential reference and the sharded executor at `--jobs 1/4`.
+//!   the sequential reference and the sharded executor at `--jobs 1/4`;
+//! - the telemetry codec is the exact inverse of the writers: frame
+//!   sequences, flight records, telemetry documents and the flows, stages
+//!   and frames of trace documents decode to the values encoded (counters
+//!   over the whole `u64` range) and re-encode to the same bytes;
+//! - the decoder never panics on foreign bytes: random byte strings, and
+//!   single-byte mutations and truncations of encoded documents, decode to
+//!   `Err` or a value.
 //!
 //! The vendored proptest is deterministic (seeded from the test name, no
 //! shrinking), so a green run is reproducible.
@@ -16,8 +23,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use partix_core::telemetry::{
-    frames_json, snapshot_accum, snapshot_delta, ArenaSnapshot, CqSnapshot, QpSnapshot,
-    RuntimeSnapshot, Sample, SampleSource, Sampler, SamplerConfig, Snapshot, WireSnapshot,
+    decode_frames, flightrec_json, frames_json, invariants, snapshot_accum, snapshot_delta,
+    telemetry_json, trace_json, ArenaSnapshot, CqSnapshot, FlowEvent, FlowStage, Frame, FrameGauge,
+    LogHistogram, QpSnapshot, RuntimeSnapshot, Sample, SampleSource, Sampler, SamplerConfig,
+    Snapshot, SpanEvent, TelemetryDoc, TraceDoc, WireSnapshot, SHM_GAUGE_NAMES, STAGE_HIST_NAMES,
     STATUS_SLOTS,
 };
 use partix_sim::SimDuration;
@@ -103,6 +112,84 @@ fn build_snapshot(vals: &[u64]) -> Snapshot {
             live_high_water: n(),
         },
     }
+}
+
+/// Build a frame from a word pool: a full ledger via [`build_snapshot`],
+/// one stage window and a prefix of the ShmFabric gauges, all drawn from
+/// the pool.
+fn build_frame(seq: u64, vals: &[u64]) -> Frame {
+    let h = LogHistogram::new();
+    for v in vals.iter().take(6) {
+        h.record(*v);
+    }
+    let stage = STAGE_HIST_NAMES[seq as usize % STAGE_HIST_NAMES.len()];
+    let gauges = SHM_GAUGE_NAMES.iter().zip(vals.iter().rev());
+    Frame {
+        seq,
+        t_ns: vals[0],
+        span_ns: vals[vals.len() - 1],
+        deltas: build_snapshot(vals),
+        stages: vec![(stage, h.snapshot())],
+        gauges: gauges
+            .take(vals.len() % (SHM_GAUGE_NAMES.len() + 1))
+            .map(|(name, v)| FrameGauge {
+                name,
+                total: *v,
+                delta: v / 2,
+            })
+            .collect(),
+    }
+}
+
+fn build_frames(pools: &[Vec<u64>]) -> Vec<Frame> {
+    (0u64..)
+        .zip(pools)
+        .map(|(i, p)| build_frame(i, p))
+        .collect()
+}
+
+fn build_flows(rows: &[(u64, usize, u64, u32, u32, u64)]) -> Vec<FlowEvent> {
+    rows.iter()
+        .map(|&(flow, stage, ts_ns, qp, chan, aux)| FlowEvent {
+            flow,
+            stage: FlowStage::ALL[stage % FlowStage::ALL.len()],
+            ts_ns,
+            qp,
+            chan,
+            aux,
+        })
+        .collect()
+}
+
+/// Strings over the characters the writer must escape, plus non-ASCII.
+fn text() -> impl Strategy<Value = String> {
+    let chars = vec![
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', 'é', '✓',
+    ];
+    prop::collection::vec(prop::sample::select(chars), 0..12).prop_map(String::from_iter)
+}
+
+fn flow_rows() -> impl Strategy<Value = Vec<(u64, usize, u64, u32, u32, u64)>> {
+    let row = (
+        any::<u64>(),
+        0usize..10,
+        any::<u64>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u64>(),
+    );
+    prop::collection::vec(row, 0..8)
+}
+
+fn pools() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    prop::collection::vec(prop::collection::vec(any::<u64>(), 4..40), 0..5)
+}
+
+/// Every decoder over `bytes`: each may fail, none may panic.
+fn decode_all(bytes: &[u8]) {
+    let _ = TraceDoc::decode(bytes);
+    let _ = TelemetryDoc::decode(bytes);
+    let _ = decode_frames(bytes);
 }
 
 /// Assert every monotone counter of `d` is zero (gauges excluded — they are
@@ -217,6 +304,149 @@ proptest! {
             snapshot_accum(&mut summed, &frame.deltas);
         }
         prop_assert_eq!(summed, last);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Frame sequences: `decode(encode(x)) == x` over the whole `u64`
+    /// range, and re-encoding reproduces the bytes.
+    #[test]
+    fn frame_sequences_round_trip_exactly(pools in pools()) {
+        let frames = build_frames(&pools);
+        let text = frames_json(&frames);
+        let back = decode_frames(text.as_bytes()).expect("own output decodes");
+        prop_assert_eq!(&back, &frames);
+        prop_assert_eq!(frames_json(&back), text);
+    }
+
+    /// Flight records: tag, reason, frame ring and flow tail round-trip.
+    #[test]
+    fn flight_records_round_trip_exactly(
+        tag in text(),
+        reason in text(),
+        pools in pools(),
+        rows in flow_rows(),
+    ) {
+        let (frames, flows) = (build_frames(&pools), build_flows(&rows));
+        let text = flightrec_json(&tag, &reason, &frames, &flows);
+        let doc = TraceDoc::decode(text.as_bytes()).expect("own output decodes");
+        prop_assert_eq!(&doc.workload, &tag);
+        prop_assert_eq!(doc.reason.as_deref(), Some(reason.as_str()));
+        prop_assert_eq!(&doc.frames, &frames);
+        prop_assert_eq!(&doc.flows, &flows);
+        prop_assert_eq!(flightrec_json(&doc.workload, &reason, &doc.frames, &doc.flows), text);
+    }
+
+    /// Telemetry documents: the ledger (over the whole `u64` range) and the
+    /// violation list round-trip, including the real `invariants::check`
+    /// report of an arbitrary, usually dirty, ledger (bounded below 2^40,
+    /// where the laws' sums cannot overflow).
+    #[test]
+    fn telemetry_documents_round_trip_exactly(
+        pool in prop::collection::vec(any::<u64>(), 4..64),
+        violations in prop::collection::vec(text(), 0..3),
+        checked in prop::collection::vec(0u64..1 << 40, 4..64),
+    ) {
+        let report = invariants::check(&build_snapshot(&checked));
+        for (snap, violations) in [
+            (build_snapshot(&pool), violations),
+            (build_snapshot(&checked), report.violations.iter().map(ToString::to_string).collect()),
+        ] {
+            let text = telemetry_json(&snap, &violations);
+            let doc = TelemetryDoc::decode(text.as_bytes()).expect("own output decodes");
+            prop_assert_eq!(&doc.snapshot, &snap);
+            prop_assert_eq!(&doc.violations, &violations);
+            prop_assert_eq!(telemetry_json(&doc.snapshot, &doc.violations), text);
+        }
+    }
+
+    /// Trace documents: span events are checked and skipped, and the
+    /// flows, stage histograms and frames round-trip.
+    #[test]
+    fn trace_documents_round_trip_flows_stages_and_frames(
+        workload in text(),
+        spans in prop::collection::vec((any::<u32>(), any::<u64>(), any::<u64>()), 0..4),
+        rows in flow_rows(),
+        stage_vals in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..12), 6..7),
+        pools in pools(),
+    ) {
+        let spans: Vec<SpanEvent> = spans
+            .iter()
+            .map(|&(tid, ts_ns, dur_ns)| SpanEvent {
+                name: "span \"x\"".into(),
+                cat: "round",
+                pid: 0,
+                tid,
+                ts_ns,
+                dur_ns,
+            })
+            .collect();
+        let stages: Vec<_> = STAGE_HIST_NAMES
+            .iter()
+            .zip(&stage_vals)
+            .map(|(name, vals)| {
+                let h = LogHistogram::new();
+                vals.iter().for_each(|v| h.record(*v));
+                (*name, h.snapshot())
+            })
+            .collect();
+        let (flows, frames) = (build_flows(&rows), build_frames(&pools));
+        let text = trace_json(&workload, &spans, &flows, &stages, &frames);
+        let doc = TraceDoc::decode(text.as_bytes()).expect("own output decodes");
+        prop_assert_eq!(&doc.workload, &workload);
+        prop_assert_eq!(doc.reason, None);
+        prop_assert_eq!(&doc.flows, &flows);
+        prop_assert_eq!(&doc.stages, &stages);
+        prop_assert_eq!(&doc.frames, &frames);
+        let again = trace_json(&doc.workload, &[], &doc.flows, &doc.stages, &doc.frames);
+        prop_assert_eq!(again, trace_json(&workload, &[], &flows, &stages, &frames));
+    }
+
+    /// Random byte strings, raw and over the JSON alphabet, never panic a
+    /// decoder.
+    #[test]
+    fn random_bytes_never_panic_the_decoder(
+        raw in prop::collection::vec(any::<u8>(), 0..256),
+        jsonish in prop::collection::vec(
+            prop::sample::select(b"{}[]\",: 0123456789-.eEtrufalsn\\".to_vec()),
+            0..256,
+        ),
+    ) {
+        decode_all(&raw);
+        decode_all(&jsonish);
+    }
+
+    /// Every single-byte mutation and truncation of an encoded flight
+    /// record, trace and telemetry document decodes to `Err` or a value
+    /// without panicking; a truncation before the closing brace is `Err`.
+    #[test]
+    fn mutated_and_truncated_documents_never_panic(
+        pools in pools(),
+        rows in flow_rows(),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 16..17),
+    ) {
+        let (frames, flows) = (build_frames(&pools), build_flows(&rows));
+        let snap = frames.first().map_or_else(Snapshot::default, |f| f.deltas.clone());
+        for doc in [
+            flightrec_json("tag", "reason", &frames, &flows),
+            trace_json("w", &[], &flows, &[], &frames),
+            telemetry_json(&snap, &["violation"]),
+        ] {
+            let bytes = doc.as_bytes();
+            for &(at, byte) in &edits {
+                let at = at % bytes.len();
+                let mut mutated = bytes.to_vec();
+                mutated[at] = byte;
+                decode_all(&mutated);
+                decode_all(&bytes[..at]);
+                if at < doc.trim_end().len() - 1 {
+                    prop_assert!(TraceDoc::decode(&bytes[..at]).is_err());
+                    prop_assert!(TelemetryDoc::decode(&bytes[..at]).is_err());
+                }
+            }
+        }
     }
 }
 
