@@ -145,13 +145,34 @@ pub fn execute_delivery_ext(
     job: &TransferJob,
     copy_data: bool,
 ) -> DeliveryOutcome {
+    account_delivery(net, job, job.inline_payload.as_deref(), copy_data)
+}
+
+/// [`execute_delivery`] for a payload the caller lends (a shared-memory
+/// ring slot, read in place) instead of the job's inline snapshot or its
+/// source segments.
+pub fn execute_delivery_from(
+    net: &Arc<NetworkState>,
+    job: &TransferJob,
+    payload: &[u8],
+) -> DeliveryOutcome {
+    debug_assert_eq!(payload.len(), job.total_len as usize);
+    account_delivery(net, job, Some(payload), true)
+}
+
+fn account_delivery(
+    net: &Arc<NetworkState>,
+    job: &TransferJob,
+    inline: Option<&[u8]>,
+    copy_data: bool,
+) -> DeliveryOutcome {
     // Telemetry: the attempt is counted before any validation so that the
     // outcome buckets below always partition the attempts exactly — the
     // "outcome partition" invariant. Every return path of `deliver` maps to
     // precisely one bucket.
     let wire = &net.telemetry().wire;
     wire.delivery_attempts.inc();
-    let outcome = deliver(net, job, copy_data);
+    let outcome = deliver(net, job, inline, copy_data);
     match &outcome {
         DeliveryOutcome::Delivered { bytes } => {
             wire.delivered.inc();
@@ -180,7 +201,14 @@ pub fn execute_delivery_ext(
     outcome
 }
 
-fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> DeliveryOutcome {
+/// Destination-side effects of `job`. The payload is `inline` when given,
+/// else gathered from the job's source segments.
+fn deliver(
+    net: &Arc<NetworkState>,
+    job: &TransferJob,
+    inline: Option<&[u8]>,
+    copy_data: bool,
+) -> DeliveryOutcome {
     let Ok(dst_node) = net.node(job.dst_node) else {
         return DeliveryOutcome::RemoteAccessError;
     };
@@ -218,11 +246,10 @@ fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> Deliv
                 Bytes(&'a [u8]),
                 Region(&'a MemoryRegion, usize, usize),
             }
-            let inline = job.inline_payload.is_some();
-            let pieces = job.inline_payload.iter().map(|p| Piece::Bytes(p)).chain(
+            let pieces = inline.map(Piece::Bytes).into_iter().chain(
                 job.segments
                     .iter()
-                    .filter(move |_| !inline)
+                    .filter(move |_| inline.is_none())
                     .map(|s| Piece::Region(&s.mr, s.offset, s.len)),
             );
             let mut sge_iter = recv_wr.sg_list.iter();
@@ -302,7 +329,7 @@ fn deliver(net: &Arc<NetworkState>, job: &TransferJob, copy_data: bool) -> Deliv
     // Gather: copy each local segment (or the inline snapshot) into the
     // contiguous remote range.
     if copy_data {
-        if let Some(payload) = &job.inline_payload {
+        if let Some(payload) = inline {
             dst_mr
                 .write(base_off, payload)
                 .expect("range validated at resolve time");

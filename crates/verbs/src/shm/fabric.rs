@@ -8,6 +8,15 @@
 //! RDMA-write-with-immediate protocol of Ibdxnet's messaging engine mapped
 //! onto shared memory (see DESIGN.md §12).
 //!
+//! The data path copies a payload twice: `submit` gathers the source
+//! segments (or the inline snapshot) straight into the DATA record's ring
+//! slot behind its header, and the progress thread delivers from that slot
+//! in place into the destination region, releasing the slot only
+//! afterwards. The slot is the only intermediate buffer. Owned copies are
+//! made only where a record must outlive it: records charged as dropped
+//! (kept for retransmission) and receiver-not-ready deferrals (kept for the
+//! RNR timer).
+//!
 //! Two deployments share all of this code:
 //!
 //! - **loopback** — both endpoints in one process over [`HeapSegment`]
@@ -40,8 +49,8 @@ use partix_telemetry::{segments_for, FlowStage, Sampler, SHM_GAUGE_NAMES};
 
 use crate::buf::{InlineVec, PooledBuf};
 use crate::fabric::{
-    complete_send, execute_delivery, outcome_status, sender_retry_profile, DeliveryOutcome, Fabric,
-    PostOptions, TransferJob,
+    complete_send, execute_delivery_from, outcome_status, sender_retry_profile, DeliveryOutcome,
+    Fabric, PostOptions, TransferJob,
 };
 use crate::network::NetworkState;
 use crate::qp::RetryProfile;
@@ -145,8 +154,6 @@ struct Channel {
 
 /// Sender-side record awaiting its ACK.
 struct Pending {
-    /// Full serialized DATA record, kept for retransmission.
-    record: Vec<u8>,
     /// Completion identity (enough to rebuild the job for
     /// [`complete_send`]).
     echo: AckEcho,
@@ -154,19 +161,37 @@ struct Pending {
     profile: RetryProfile,
     /// Wire attempts already charged as dropped; `retry_cnt` bounds this.
     attempts: u8,
-    /// Armed only for records charged as dropped: when the backoff
-    /// expires the record is re-offered to the ring.
-    deadline: Option<Instant>,
+    /// Set only for records charged as dropped, the only ones ever
+    /// retransmitted.
+    resend: Option<Resend>,
     /// Flow-clock timestamp at submit, for the wire-stage histogram.
     submit_ns: u64,
 }
 
-/// Receiver-side delivery re-armed by the RNR timer.
+/// A drop-charged record's retransmission state.
+struct Resend {
+    /// The full DATA record (header and payload) as gathered at post time.
+    record: Vec<u8>,
+    /// When the ack-timeout backoff expires and the record is re-offered
+    /// to the ring.
+    deadline: Instant,
+}
+
+/// A delivery's receiver-not-ready budget (the sender's `rnr_retry` and
+/// `min_rnr_timer`, carried in the DATA header) and the deferrals so far.
+#[derive(Clone, Copy)]
+struct RnrRetry {
+    budget: u8,
+    min_timer_ns: u64,
+    attempts: u8,
+}
+
+/// Receiver-side delivery re-armed by the RNR timer. The job owns a copy
+/// of the payload (`inline_payload`): the ring slot it arrived in has been
+/// reused by then.
 struct RnrPending {
     job: TransferJob,
-    rnr_budget: u8,
-    min_rnr_timer_ns: u64,
-    attempts: u8,
+    retry: RnrRetry,
     deadline: Instant,
 }
 
@@ -564,18 +589,26 @@ impl ShmFabric {
         }
     }
 
-    /// Push `record` onto `ch`'s DATA ring, waiting out backpressure, and
-    /// charge the wire ledger for a transfer entering the fabric.
-    fn enqueue_data(&self, net: &Arc<NetworkState>, ch: &Channel, record: &[u8]) {
-        let payload_len = (record.len() - DATA_HEADER) as u64;
+    /// Publish a DATA record of `len` bytes on `ch`'s DATA ring, built in
+    /// its slot by `fill` (see [`SpscRing::try_push_with`]), waiting out
+    /// backpressure, and charge the wire ledger for a transfer entering the
+    /// fabric.
+    fn enqueue_data(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        len: usize,
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) {
+        let payload_len = (len - DATA_HEADER) as u64;
         let _tx = ch.tx_lock.lock();
-        if !ch.data.try_push(KIND_DATA, record) {
+        if !ch.data.try_push_with(KIND_DATA, len, &mut fill) {
             self.stats.ring_full_stalls.fetch_add(1, Ordering::Relaxed);
             let deadline = Instant::now() + self.cfg.full_ring_deadline;
             loop {
                 self.kick();
                 std::thread::yield_now();
-                if ch.data.try_push(KIND_DATA, record) {
+                if ch.data.try_push_with(KIND_DATA, len, &mut fill) {
                     break;
                 }
                 assert!(
@@ -592,6 +625,21 @@ impl ShmFabric {
         wire.mtu_segments
             .add(segments_for(payload_len, self.cfg.mtu));
         self.kick();
+    }
+
+    /// Publish `job` as a DATA record with `header`, gathering its payload
+    /// straight into the ring slot.
+    fn enqueue_job(
+        &self,
+        net: &Arc<NetworkState>,
+        ch: &Channel,
+        header: &[u8; DATA_HEADER],
+        job: &TransferJob,
+    ) {
+        let len = DATA_HEADER + job.total_len as usize;
+        self.enqueue_data(net, ch, len, |at, piece| {
+            gather_record(header, job, at, piece)
+        });
     }
 }
 
@@ -626,7 +674,7 @@ impl Fabric for ShmFabric {
             rnr_retry: 0,
             min_rnr_timer_ns: 10_000,
         });
-        let record = serialize_data(&job, &profile);
+        let header = encode_data_header(&job, &profile);
         let flows = &net.telemetry().flows;
         let submit_ns = flows.now();
         flows.event(job.flow, FlowStage::WireSubmit, job.src_qp, 0, 0);
@@ -634,7 +682,7 @@ impl Fabric for ShmFabric {
         // Ghost duplicates (ours or a lossy decorator's) are
         // fire-and-forget: no ack, no retransmission, no completion.
         if job.ghost {
-            self.enqueue_data(net, &ch, &record);
+            self.enqueue_job(net, &ch, &header, &job);
             return;
         }
 
@@ -644,9 +692,9 @@ impl Fabric for ShmFabric {
         if let Some(n) = self.cfg.dup_nth {
             if seq % n.max(1) == 0 {
                 wire.duplicates_injected.inc();
-                let mut ghost = record.clone();
-                ghost[60] |= FLAG_GHOST;
-                self.enqueue_data(net, &ch, &ghost);
+                let mut ghost = header;
+                ghost[FLAGS_AT] |= FLAG_GHOST;
+                self.enqueue_job(net, &ch, &ghost, &job);
             }
         }
         let dropped = self.cfg.drop_nth.is_some_and(|n| seq % n.max(1) == 0);
@@ -661,18 +709,26 @@ impl Fabric for ShmFabric {
             total_len: job.total_len,
             opcode: job.opcode,
         };
-        let deadline =
-            dropped.then(|| Instant::now() + Duration::from_nanos(profile.backoff_ns(0)));
+        // A dropped record is gathered now, at post time, into the copy its
+        // retransmissions re-send: the source region may be rewritten by
+        // then.
+        let resend = dropped.then(|| {
+            let mut record = vec![0u8; DATA_HEADER + job.total_len as usize];
+            gather_record(&header, &job, 0, &mut record);
+            Resend {
+                record,
+                deadline: Instant::now() + Duration::from_nanos(profile.backoff_ns(0)),
+            }
+        });
         // Registered before the record can produce an ack, so the ack
         // handler always finds its entry.
         self.inflight.lock().outstanding.insert(
             (job.src_qp, job.psn),
             Pending {
-                record: record.clone(),
                 echo,
                 profile,
                 attempts: 0,
-                deadline,
+                resend,
                 submit_ns,
             },
         );
@@ -683,7 +739,7 @@ impl Fabric for ShmFabric {
             self.kick();
             return;
         }
-        self.enqueue_data(net, &ch, &record);
+        self.enqueue_job(net, &ch, &header, &job);
     }
 }
 
@@ -693,6 +749,8 @@ impl Fabric for ShmFabric {
 
 const FLAG_IMM: u8 = 1;
 const FLAG_GHOST: u8 = 2;
+/// Offset of the flags byte in a DATA header.
+const FLAGS_AT: usize = 60;
 
 fn opcode_to_wire(op: Opcode) -> u8 {
     match op {
@@ -732,22 +790,21 @@ fn status_from_wire(b: u8) -> WcStatus {
     }
 }
 
-/// Serialize `job` into a DATA record: fixed header plus the payload
-/// gathered *at post time* (the wire must not chase source-region rewrites
-/// across a process boundary; inline sends reuse their snapshot).
-fn serialize_data(job: &TransferJob, profile: &RetryProfile) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(DATA_HEADER + job.total_len as usize);
-    rec.extend_from_slice(&job.src_node.to_le_bytes());
-    rec.extend_from_slice(&job.dst_node.to_le_bytes());
-    rec.extend_from_slice(&job.src_qp.to_le_bytes());
-    rec.extend_from_slice(&job.dst_qp.to_le_bytes());
-    rec.extend_from_slice(&job.wr_id.to_le_bytes());
-    rec.extend_from_slice(&job.psn.to_le_bytes());
-    rec.extend_from_slice(&job.flow.to_le_bytes());
-    rec.extend_from_slice(&job.remote_addr.to_le_bytes());
-    rec.extend_from_slice(&job.rkey.to_le_bytes());
-    rec.extend_from_slice(&job.total_len.to_le_bytes());
-    rec.extend_from_slice(&job.imm.unwrap_or(0).to_le_bytes());
+/// Encode `job`'s DATA header. The payload follows it in the record,
+/// gathered by [`gather_record`].
+fn encode_data_header(job: &TransferJob, profile: &RetryProfile) -> [u8; DATA_HEADER] {
+    let mut h = [0u8; DATA_HEADER];
+    h[0..4].copy_from_slice(&job.src_node.to_le_bytes());
+    h[4..8].copy_from_slice(&job.dst_node.to_le_bytes());
+    h[8..12].copy_from_slice(&job.src_qp.to_le_bytes());
+    h[12..16].copy_from_slice(&job.dst_qp.to_le_bytes());
+    h[16..24].copy_from_slice(&job.wr_id.to_le_bytes());
+    h[24..32].copy_from_slice(&job.psn.to_le_bytes());
+    h[32..40].copy_from_slice(&job.flow.to_le_bytes());
+    h[40..48].copy_from_slice(&job.remote_addr.to_le_bytes());
+    h[48..52].copy_from_slice(&job.rkey.to_le_bytes());
+    h[52..56].copy_from_slice(&job.total_len.to_le_bytes());
+    h[56..60].copy_from_slice(&job.imm.unwrap_or(0).to_le_bytes());
     let mut flags = 0u8;
     if job.imm.is_some() {
         flags |= FLAG_IMM;
@@ -755,35 +812,56 @@ fn serialize_data(job: &TransferJob, profile: &RetryProfile) -> Vec<u8> {
     if job.ghost {
         flags |= FLAG_GHOST;
     }
-    rec.push(flags);
-    rec.push(opcode_to_wire(job.opcode));
-    rec.push(profile.rnr_retry);
-    rec.push(0);
-    rec.extend_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
-    debug_assert_eq!(rec.len(), DATA_HEADER);
-    match &job.inline_payload {
-        Some(p) => rec.extend_from_slice(p),
-        None => {
-            for seg in job.segments.iter() {
-                seg.mr
-                    .read_into(seg.offset, seg.len, &mut rec)
-                    .expect("segments validated at post time");
-            }
-        }
-    }
-    debug_assert_eq!(rec.len(), DATA_HEADER + job.total_len as usize);
-    rec
+    h[FLAGS_AT] = flags;
+    h[61] = opcode_to_wire(job.opcode);
+    h[62] = profile.rnr_retry;
+    h[64..72].copy_from_slice(&profile.min_rnr_timer_ns.to_le_bytes());
+    h
 }
 
-/// Parse a DATA record back into a deliverable job (payload rides as an
-/// inline snapshot) plus the sender's RNR attributes.
-fn parse_data(rec: &[u8]) -> (TransferJob, u8, u64) {
+/// Copy bytes `[at, at + out.len())` of `job`'s DATA record — `header`,
+/// then the payload gathered *at post time* from the inline snapshot or
+/// the source segments — into `out` (the wire must not chase
+/// source-region rewrites across a process boundary).
+fn gather_record(header: &[u8; DATA_HEADER], job: &TransferJob, at: usize, out: &mut [u8]) {
+    let end = at + out.len();
+    // Where record bytes `[pos, pos + len)` meet `out`: the offset into
+    // that piece and the range of `out` it fills.
+    let overlap = |pos: usize, len: usize| {
+        let (lo, hi) = (pos.max(at), (pos + len).min(end));
+        (lo < hi).then(|| (lo - pos, lo - at..hi - at))
+    };
+    if let Some((from, to)) = overlap(0, DATA_HEADER) {
+        let n = to.len();
+        out[to].copy_from_slice(&header[from..from + n]);
+    }
+    if let Some(p) = &job.inline_payload {
+        if let Some((from, to)) = overlap(DATA_HEADER, p.len()) {
+            let n = to.len();
+            out[to].copy_from_slice(&p[from..from + n]);
+        }
+        return;
+    }
+    let mut pos = DATA_HEADER;
+    for seg in job.segments.iter() {
+        if let Some((from, to)) = overlap(pos, seg.len) {
+            seg.mr
+                .read(seg.offset + from, &mut out[to])
+                .expect("segments validated at post time");
+        }
+        pos += seg.len;
+    }
+}
+
+/// Parse a DATA record's header into a deliverable job (no payload: the
+/// caller lends the bytes that follow the header) plus the sender's RNR
+/// budget.
+fn parse_data(rec: &[u8]) -> (TransferJob, RnrRetry) {
     let u32_at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().expect("fixed"));
     let u64_at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().expect("fixed"));
-    let flags = rec[60];
+    let flags = rec[FLAGS_AT];
     let total_len = u32_at(52);
-    let payload = rec[DATA_HEADER..].to_vec();
-    debug_assert_eq!(payload.len(), total_len as usize);
+    debug_assert_eq!(rec.len() - DATA_HEADER, total_len as usize);
     let job = TransferJob {
         src_node: u32_at(0),
         dst_node: u32_at(4),
@@ -796,13 +874,18 @@ fn parse_data(rec: &[u8]) -> (TransferJob, u8, u64) {
         rkey: u32_at(48),
         imm: (flags & FLAG_IMM != 0).then(|| u32_at(56)),
         total_len,
-        inline_payload: Some(PooledBuf::from_vec(payload)),
+        inline_payload: None,
         psn: u64_at(24),
         ghost: flags & FLAG_GHOST != 0,
         flow: u64_at(32),
         opts: PostOptions::default(),
     };
-    (job, rec[62], u64_at(64))
+    let retry = RnrRetry {
+        budget: rec[62],
+        min_timer_ns: u64_at(64),
+        attempts: 0,
+    };
+    (job, retry)
 }
 
 fn serialize_ack(echo: &AckEcho, status: WcStatus) -> [u8; ACK_LEN] {
@@ -870,6 +953,9 @@ impl AckEcho {
 /// and services the wall-clock RNR and retransmission timers.
 fn progress_loop(me: Weak<ShmFabric>) {
     let mut scratch: Vec<u8> = Vec::new();
+    // This thread's copy of the channel list. Channels are only ever
+    // added, so a length change is the only refresh signal needed.
+    let mut channels: Vec<Arc<Channel>> = Vec::new();
     loop {
         let Some(fab) = me.upgrade() else { return };
         let shutting_down = fab.shutdown.load(Ordering::Acquire);
@@ -880,24 +966,33 @@ fn progress_loop(me: Weak<ShmFabric>) {
             .fetch_add(1, Ordering::Relaxed);
 
         if let Some(net) = &net {
-            let channels: Vec<Arc<Channel>> = fab.channels.lock().clone();
+            {
+                let all = fab.channels.lock();
+                if all.len() != channels.len() {
+                    channels.clone_from(&all);
+                }
+            }
             for ch in &channels {
                 if ch.we_recv {
                     fab.stats
                         .ring_occupancy_high_water
                         .fetch_max(ch.data.len(), Ordering::Relaxed);
-                    while let Popped::Record(kind) = ch.data.try_pop(&mut scratch) {
-                        debug_assert_eq!(kind, KIND_DATA);
-                        fab.stats.data_records.fetch_add(1, Ordering::Relaxed);
-                        fab.handle_data(net, ch, &scratch, 0);
+                    while let Popped::Record(()) =
+                        ch.data.try_pop_with(&mut scratch, |kind, rec| {
+                            debug_assert_eq!(kind, KIND_DATA);
+                            fab.stats.data_records.fetch_add(1, Ordering::Relaxed);
+                            fab.handle_data(net, ch, rec);
+                        })
+                    {
                         did_work = true;
                     }
                 }
                 if ch.we_send {
-                    while let Popped::Record(kind) = ch.ack.try_pop(&mut scratch) {
+                    while let Popped::Record(()) = ch.ack.try_pop_with(&mut scratch, |kind, rec| {
                         debug_assert_eq!(kind, KIND_ACK);
                         fab.stats.ack_records.fetch_add(1, Ordering::Relaxed);
-                        fab.handle_ack(net, &scratch);
+                        fab.handle_ack(net, rec);
+                    }) {
                         did_work = true;
                     }
                 }
@@ -940,7 +1035,12 @@ impl ShmFabric {
             .rnr
             .iter()
             .map(|r| r.deadline)
-            .chain(inflight.outstanding.values().filter_map(|p| p.deadline))
+            .chain(
+                inflight
+                    .outstanding
+                    .values()
+                    .filter_map(|p| p.resend.as_ref().map(|r| r.deadline)),
+            )
             .min()?;
         Some(
             nearest
@@ -949,25 +1049,43 @@ impl ShmFabric {
         )
     }
 
-    /// Deliver one DATA record: run the destination-side effects and, for
-    /// non-ghost records, acknowledge. Receiver-not-ready re-arms on the
-    /// wall-clock RNR timer within the sender's budget.
-    fn handle_data(&self, net: &Arc<NetworkState>, ch: &Channel, rec: &[u8], attempts: u8) {
-        let (job, rnr_budget, min_rnr_timer_ns) = parse_data(rec);
-        self.deliver(net, ch, job, rnr_budget, min_rnr_timer_ns, attempts);
+    /// Deliver one DATA record, read in place from its ring slot. A
+    /// receiver-not-ready outcome within the sender's budget copies the
+    /// payload out of the slot, which is reused once this returns, and
+    /// re-arms on the wall-clock RNR timer.
+    fn handle_data(&self, net: &Arc<NetworkState>, ch: &Channel, rec: &[u8]) {
+        let (job, retry) = parse_data(rec);
+        let payload = &rec[DATA_HEADER..];
+        if let Some(deadline) = self.deliver(net, ch, &job, payload, retry) {
+            let job = TransferJob {
+                inline_payload: Some(PooledBuf::from_vec(payload.to_vec())),
+                ..job
+            };
+            self.inflight.lock().rnr.push(RnrPending {
+                job,
+                retry: RnrRetry {
+                    attempts: 1,
+                    ..retry
+                },
+                deadline,
+            });
+        }
     }
 
+    /// Run the destination-side effects of `job` with `payload` and, for
+    /// non-ghost records, acknowledge. Receiver-not-ready within the RNR
+    /// budget acknowledges nothing and returns the deadline of the next
+    /// attempt instead.
     fn deliver(
         &self,
         net: &Arc<NetworkState>,
         ch: &Channel,
-        job: TransferJob,
-        rnr_budget: u8,
-        min_rnr_timer_ns: u64,
-        attempts: u8,
-    ) {
-        let outcome = execute_delivery(net, &job);
-        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && attempts < rnr_budget {
+        job: &TransferJob,
+        payload: &[u8],
+        retry: RnrRetry,
+    ) -> Option<Instant> {
+        let outcome = execute_delivery_from(net, job, payload);
+        if matches!(outcome, DeliveryOutcome::ReceiverNotReady) && retry.attempts < retry.budget {
             let wire = &net.telemetry().wire;
             wire.rnr_requeues.inc();
             self.stats.rnr_deferrals.fetch_add(1, Ordering::Relaxed);
@@ -977,22 +1095,15 @@ impl ShmFabric {
                 FlowStage::RnrWait,
                 job.src_qp,
                 0,
-                min_rnr_timer_ns,
+                retry.min_timer_ns,
             );
             if job.flow != 0 {
-                flows.stage_ns(|s| &s.rnr_wait, min_rnr_timer_ns);
+                flows.stage_ns(|s| &s.rnr_wait, retry.min_timer_ns);
             }
-            self.inflight.lock().rnr.push(RnrPending {
-                job,
-                rnr_budget,
-                min_rnr_timer_ns,
-                attempts: attempts + 1,
-                deadline: Instant::now() + Duration::from_nanos(min_rnr_timer_ns.max(1)),
-            });
-            return;
+            return Some(Instant::now() + Duration::from_nanos(retry.min_timer_ns.max(1)));
         }
         if job.ghost {
-            return;
+            return None;
         }
         let echo = AckEcho {
             src_node: job.src_node,
@@ -1013,6 +1124,7 @@ impl ShmFabric {
             );
             std::thread::yield_now();
         }
+        None
     }
 
     /// Complete a send against an arriving ACK. Duplicate acks (the
@@ -1055,22 +1167,25 @@ impl ShmFabric {
             due
         };
         let worked = !due.is_empty();
-        for r in due {
+        for mut r in due {
             let key = PairKey {
                 src_node: r.job.src_node,
                 src_qp: r.job.src_qp,
                 dst_node: r.job.dst_node,
                 dst_qp: r.job.dst_qp,
             };
-            if let Some(ch) = self.by_pair.lock().get(&key).cloned() {
-                self.deliver(
-                    net,
-                    &ch,
-                    r.job,
-                    r.rnr_budget,
-                    r.min_rnr_timer_ns,
-                    r.attempts,
-                );
+            let Some(ch) = self.by_pair.lock().get(&key).cloned() else {
+                continue;
+            };
+            let payload = r
+                .job
+                .inline_payload
+                .as_deref()
+                .expect("deferred deliveries own their payload");
+            if let Some(deadline) = self.deliver(net, &ch, &r.job, payload, r.retry) {
+                r.retry.attempts += 1;
+                r.deadline = deadline;
+                self.inflight.lock().rnr.push(r);
             }
         }
         worked
@@ -1088,7 +1203,7 @@ impl ShmFabric {
             let keys: Vec<(u32, u64)> = inflight
                 .outstanding
                 .iter()
-                .filter(|(_, p)| p.deadline.is_some_and(|d| d <= now))
+                .filter(|(_, p)| p.resend.as_ref().is_some_and(|r| r.deadline <= now))
                 .map(|(k, _)| *k)
                 .collect();
             for k in keys {
@@ -1100,17 +1215,18 @@ impl ShmFabric {
                 }
                 p.attempts += 1;
                 let backoff = Duration::from_nanos(p.profile.backoff_ns(p.attempts));
+                let resend = p.resend.as_mut().expect("filtered on resend");
                 // Re-armed pessimistically: if the chaos knob drops the
                 // retransmitted record too, the next expiry doubles again.
-                p.deadline = Some(now + backoff);
+                resend.deadline = now + backoff;
                 let key = PairKey {
                     src_node: p.echo.src_node,
                     src_qp: p.echo.src_qp,
                     // dst lives in the record; recover it from the header.
-                    dst_node: u32::from_le_bytes(p.record[4..8].try_into().expect("fixed")),
+                    dst_node: u32::from_le_bytes(resend.record[4..8].try_into().expect("fixed")),
                     dst_qp: p.echo.dst_qp,
                 };
-                retransmit.push((key, p.record.clone()));
+                retransmit.push((key, resend.record.clone()));
             }
         }
         let worked = !retransmit.is_empty() || !exhausted.is_empty();
@@ -1134,7 +1250,9 @@ impl ShmFabric {
                 if flow != 0 {
                     net.telemetry().flows.stage_ns(|s| &s.retrans_wait, 0);
                 }
-                self.enqueue_data(net, &ch, &record);
+                self.enqueue_data(net, &ch, record.len(), |at, piece| {
+                    piece.copy_from_slice(&record[at..at + piece.len()])
+                });
             }
         }
         for (echo, _) in exhausted {
@@ -1449,6 +1567,123 @@ mod tests {
         assert!(gauges.contains(&"progress_iterations"));
         assert!(gauges.contains(&"ring_occupancy_high_water"));
         assert!(p.fabric.progress_iterations() > 0);
+        assert_clean(&p);
+        p.fabric.shutdown();
+    }
+
+    fn rdma_write(
+        p: &Pair,
+        src: &crate::memory::MemoryRegion,
+        dst: &crate::memory::MemoryRegion,
+        wr_id: u64,
+        len: u32,
+    ) {
+        p.qa.post_send(SendWr {
+            wr_id,
+            opcode: Opcode::RdmaWrite,
+            sg_list: vec![Sge {
+                addr: src.addr(),
+                length: len,
+                lkey: src.lkey(),
+            }],
+            remote_addr: dst.addr(),
+            rkey: dst.rkey(),
+            imm: None,
+            inline_data: false,
+            flow: 0,
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn rnr_deferred_write_survives_its_ring_slot_being_reused() {
+        const LEN: usize = 64 << 10;
+        // Four 64 KiB records fill the ring, so the eight writes below
+        // reuse the deferred record's slot at least once.
+        let cfg = ShmConfig {
+            ring_capacity: 4 * (LEN as u64 + 80),
+            ..ShmConfig::default()
+        };
+        let caps = QpCaps {
+            min_rnr_timer_ns: 50_000_000, // 50 ms per RNR wait, 7 waits
+            ..QpCaps::default()
+        };
+        let p = pair(cfg, caps);
+        let src = p.a.reg_mr(p.pda, LEN).unwrap();
+        let other = p.a.reg_mr(p.pda, LEN).unwrap();
+        let dst = p.b.reg_mr(p.pdb, LEN).unwrap();
+        let scratch_dst = p.b.reg_mr(p.pdb, LEN).unwrap();
+        let expect: Vec<u8> = (0..LEN).map(|i| (i * 7 + 3) as u8).collect();
+        src.write(0, &expect).unwrap();
+        // No receive posted: the delivery is deferred and must own its
+        // payload, because its slot is about to be overwritten.
+        write_with_imm(&p, &src, &dst, 1, LEN as u32);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while p.fabric.rnr_deferrals() == 0 {
+            assert!(Instant::now() < deadline, "write was never RNR-deferred");
+            std::thread::yield_now();
+        }
+        src.fill(0, LEN, 0xEE).unwrap(); // the source may change after post
+        for i in 0..8u64 {
+            other.fill(0, LEN, 0x40 + i as u8).unwrap();
+            rdma_write(&p, &other, &scratch_dst, 10 + i, LEN as u32);
+            let wc = poll_until(&p.cqa, "plain write CQE");
+            assert_eq!((wc.wr_id, wc.status), (10 + i, WcStatus::Success));
+        }
+        assert_eq!(scratch_dst.read_vec(0, LEN).unwrap(), vec![0x47; LEN]);
+        assert_eq!(p.fabric.data_records(), 9);
+        p.qb.post_recv(RecvWr::bare(77)).unwrap();
+        let wc = poll_until(&p.cqa, "deferred write CQE");
+        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::Success));
+        assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 77);
+        assert!(
+            dst.read_vec(0, LEN).unwrap() == expect,
+            "deferred payload corrupted"
+        );
+        assert_clean(&p);
+        p.fabric.shutdown();
+    }
+
+    #[test]
+    fn records_straddling_the_ring_wrap_deliver_byte_exact() {
+        // 300-byte payloads make 380-byte records: in a 1000-byte ring the
+        // third record's payload crosses the wrap point and is delivered
+        // from the progress thread's scratch buffer, after which the
+        // cursors land at a new offset on every lap. Two SGEs (split at
+        // byte 120) make the wrap split fall inside either segment.
+        const LEN: usize = 300;
+        const SPLIT: usize = 120;
+        let cfg = ShmConfig {
+            ring_capacity: 1000,
+            ..ShmConfig::default()
+        };
+        let p = pair(cfg, QpCaps::default());
+        let src = p.a.reg_mr(p.pda, LEN).unwrap();
+        let dst = p.b.reg_mr(p.pdb, LEN).unwrap();
+        let sge = |at: usize, len: usize| Sge {
+            addr: src.addr_at(at),
+            length: len as u32,
+            lkey: src.lkey(),
+        };
+        for i in 0..12u64 {
+            let bytes: Vec<u8> = (0..LEN).map(|j| (j as u64 * 13 + i * 29) as u8).collect();
+            src.write(0, &bytes).unwrap();
+            p.qb.post_recv(RecvWr::bare(500 + i)).unwrap();
+            p.qa.post_send(SendWr {
+                wr_id: i,
+                opcode: Opcode::RdmaWriteWithImm,
+                sg_list: vec![sge(0, SPLIT), sge(SPLIT, LEN - SPLIT)],
+                remote_addr: dst.addr(),
+                rkey: dst.rkey(),
+                imm: Some(imm::encode(0, 4)),
+                inline_data: false,
+                flow: 0,
+            })
+            .unwrap();
+            assert_eq!(poll_until(&p.cqa, "send CQE").status, WcStatus::Success);
+            assert_eq!(poll_until(&p.cqb, "recv CQE").wr_id, 500 + i);
+            assert_eq!(dst.read_vec(0, LEN).unwrap(), bytes, "record {i}");
+        }
         assert_clean(&p);
         p.fabric.shutdown();
     }

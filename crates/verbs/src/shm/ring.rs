@@ -16,10 +16,20 @@
 //!
 //! The acquire on `Tail` is what makes the record bytes visible to the
 //! consumer; the acquire on `Head` is what lets the producer reuse space.
+//!
+//! Records are built and consumed in the slot itself:
+//! [`try_push_with`](SpscRing::try_push_with) hands the producer the
+//! payload bytes of its slot (one piece, or two across the wrap) and
+//! [`try_pop_with`](SpscRing::try_pop_with) passes the published payload to
+//! the consumer in place, storing `Head` only after it returns, so the
+//! producer cannot overwrite a record that is still being read. Only a
+//! payload that straddles the wrap is first copied into the caller's
+//! scratch buffer. [`try_push`](SpscRing::try_push) and
+//! [`try_pop`](SpscRing::try_pop) are copying wrappers over the two.
 
 use std::sync::Arc;
 
-use super::segment::{Ctrl, Segment};
+use super::segment::{lend, Ctrl, Segment};
 
 /// Per-record header bytes: `len: u32` | `kind: u8` | `magic: u8` |
 /// `reserved: u16`.
@@ -29,13 +39,14 @@ pub const RECORD_HEADER: u64 = 8;
 /// cursor corruption and is reported as poisoning, not silently skipped.
 const RECORD_MAGIC: u8 = 0xA7;
 
-/// What [`SpscRing::try_pop`] found.
+/// What [`SpscRing::try_pop`] (or [`SpscRing::try_pop_with`]) found.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Popped {
+pub enum Popped<T = u8> {
     /// Nothing published.
     Empty,
-    /// A record was read; its kind tag (payload is in the caller's scratch).
-    Record(u8),
+    /// A record was consumed: its kind tag for `try_pop` (payload in the
+    /// caller's scratch), the consumer's result for `try_pop_with`.
+    Record(T),
     /// The producer closed the ring and everything published was consumed.
     Closed,
 }
@@ -122,11 +133,28 @@ impl SpscRing {
         }
     }
 
-    /// Publish one record. Returns `false` when the ring lacks space (the
-    /// caller retries after the consumer advances). Panics if the record
-    /// can never fit (payload larger than the ring).
+    /// Publish one record, copying `payload` into its slot. See
+    /// [`try_push_with`](Self::try_push_with).
     pub fn try_push(&self, kind: u8, payload: &[u8]) -> bool {
-        let need = RECORD_HEADER + payload.len() as u64;
+        self.try_push_with(kind, payload.len(), |at, piece| {
+            piece.copy_from_slice(&payload[at..at + piece.len()])
+        })
+    }
+
+    /// Publish one record of `len` payload bytes built in place: after the
+    /// header is written, `fill(at, piece)` must fill `piece` with payload
+    /// bytes `[at, at + piece.len())`. It is called once, or twice (`at = 0`,
+    /// then the remainder) when the slot straddles the wrap point. Returns
+    /// `false` without calling `fill` when the ring lacks space (the caller
+    /// retries after the consumer advances). Panics if the record can never
+    /// fit (payload larger than the ring).
+    pub fn try_push_with(
+        &self,
+        kind: u8,
+        len: usize,
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> bool {
+        let need = RECORD_HEADER + len as u64;
         let cap = self.seg.capacity();
         assert!(
             need <= cap,
@@ -138,24 +166,48 @@ impl SpscRing {
             return false;
         }
         let mut header = [0u8; RECORD_HEADER as usize];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[..4].copy_from_slice(&(len as u32).to_le_bytes());
         header[4] = kind;
         header[5] = RECORD_MAGIC;
         self.write_wrapped(tail, &header);
-        self.write_wrapped(tail + RECORD_HEADER, payload);
+        let off = (tail + RECORD_HEADER) % cap;
+        let first = ((cap - off) as usize).min(len);
+        self.seg.write_with(off, first, &mut |piece| fill(0, piece));
+        if first < len {
+            self.seg
+                .write_with(0, len - first, &mut |piece| fill(first, piece));
+        }
         self.seg.ctrl_store(Ctrl::Tail, tail + need);
         true
     }
 
-    /// Consume one record if available, appending its payload to `scratch`
-    /// (cleared first).
+    /// Consume one record if available, copying its payload into `scratch`
+    /// (cleared first). See [`try_pop_with`](Self::try_pop_with).
+    pub fn try_pop(&self, scratch: &mut Vec<u8>) -> Popped {
+        // Only a payload straddling the wrap lands here (then is copied out).
+        let mut straddle = Vec::new();
+        self.try_pop_with(&mut straddle, |kind, payload| {
+            scratch.clear();
+            scratch.extend_from_slice(payload);
+            kind
+        })
+    }
+
+    /// Consume one record if available: `f(kind, payload)` reads the
+    /// payload in place, and the space is released (`Head` stored) only
+    /// after `f` returns. A payload straddling the wrap point is first
+    /// copied into `scratch`, and `f` reads it there.
     ///
     /// # Panics
     ///
     /// On header corruption (bad magic or a length exceeding the published
     /// span) — the cursors are no longer trustworthy and continuing would
     /// deliver garbage bytes into registered memory.
-    pub fn try_pop(&self, scratch: &mut Vec<u8>) -> Popped {
+    pub fn try_pop_with<R>(
+        &self,
+        scratch: &mut Vec<u8>,
+        f: impl FnOnce(u8, &[u8]) -> R,
+    ) -> Popped<R> {
         let mut tail = self.seg.ctrl_load(Ctrl::Tail);
         let head = self.seg.ctrl_load(Ctrl::Head);
         if tail == head {
@@ -189,11 +241,22 @@ impl SpscRing {
             RECORD_HEADER + len <= avail,
             "ring record length {len} exceeds published span {avail}"
         );
-        scratch.clear();
-        scratch.resize(len as usize, 0);
-        self.read_wrapped(head + RECORD_HEADER, scratch);
+        let cap = self.seg.capacity();
+        let off = (head + RECORD_HEADER) % cap;
+        let out = if off + len <= cap {
+            let mut f = Some(f);
+            let mut out = None;
+            self.seg.read_with(off, len as usize, &mut |payload| {
+                out = f.take().map(|f| f(kind, payload));
+            });
+            out.expect("read_with lends the range exactly once")
+        } else {
+            let straddled = lend(scratch, len as usize);
+            self.read_wrapped(head + RECORD_HEADER, straddled);
+            f(kind, straddled)
+        };
         self.seg.ctrl_store(Ctrl::Head, head + RECORD_HEADER + len);
-        Popped::Record(kind)
+        Popped::Record(out)
     }
 }
 
@@ -232,6 +295,39 @@ mod tests {
             assert_eq!(buf, payload, "record {i}");
         }
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn in_place_pop_uses_scratch_only_across_the_wrap() {
+        let r = ring(32);
+        let mut scratch = Vec::new();
+        // 8 + 12 bytes at offset 0: in place.
+        assert!(r.try_push(1, &[1; 12]));
+        let in_place = r.try_pop_with(&mut scratch, |_, p| (p.to_vec(), p.as_ptr()));
+        let Popped::Record((bytes, at)) = in_place else {
+            panic!("record expected")
+        };
+        assert_eq!(bytes, [1; 12]);
+        assert!(scratch.is_empty(), "an unwrapped record must not be copied");
+        assert_ne!(at, scratch.as_ptr());
+        // Header at 20, payload 28..40 wraps at 32: copied into scratch.
+        assert!(r.try_push_with(2, 12, |at, piece| {
+            for (i, b) in piece.iter_mut().enumerate() {
+                *b = (at + i) as u8;
+            }
+        }));
+        let straddled = r.try_pop_with(&mut scratch, |kind, p| (kind, p.to_vec(), p.as_ptr()));
+        let Popped::Record((kind, bytes, at)) = straddled else {
+            panic!("record expected")
+        };
+        assert_eq!(kind, 2);
+        assert_eq!(bytes, (0..12).collect::<Vec<u8>>());
+        assert_eq!(
+            at,
+            scratch.as_ptr(),
+            "a wrapped record is read from scratch"
+        );
+        assert_eq!(r.try_pop_with(&mut scratch, |_, _| ()), Popped::Empty);
     }
 
     #[test]

@@ -14,12 +14,19 @@
 //!   orders them — the kernel's page locking plays the role the atomics
 //!   play in the heap backing.
 //!
+//! Records are built and consumed in place through closure-scoped views
+//! ([`Segment::write_with`] / [`Segment::read_with`]): the heap backing
+//! lends its own bytes, the file backing lends a bounce buffer that it
+//! fills with `pread` or flushes with `pwrite`.
+//!
 //! The ring code is written against the [`Segment`] trait only, so the
 //! protocol (and its tests) is identical across backings.
 
 use std::cell::UnsafeCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use parking_lot::Mutex;
 
 /// Control words a ring uses, by fixed slot index. Kept to a handful so a
 /// file segment can give each one a fixed header offset.
@@ -61,11 +68,21 @@ pub trait Segment: Send + Sync {
     fn ctrl_load(&self, slot: Ctrl) -> u64;
     /// Release-store a control word.
     fn ctrl_store(&self, slot: Ctrl, v: u64);
-    /// Copy `src` into the data area at `off` (`off + src.len() <=
-    /// capacity`; wrap splitting is the ring's job).
-    fn data_write(&self, off: u64, src: &[u8]);
+    /// Lend the data bytes `[off, off + len)` to `f` for writing in place
+    /// (`off + len <= capacity`; wrap splitting is the ring's job). The
+    /// bytes are visible to a reader once a later `Tail` store publishes
+    /// them.
+    fn write_with(&self, off: u64, len: usize, f: &mut dyn FnMut(&mut [u8]));
+    /// Lend the data bytes `[off, off + len)` to `f` for reading in place.
+    fn read_with(&self, off: u64, len: usize, f: &mut dyn FnMut(&[u8]));
+    /// Copy `src` into the data area at `off`.
+    fn data_write(&self, off: u64, src: &[u8]) {
+        self.write_with(off, src.len(), &mut |dst| dst.copy_from_slice(src));
+    }
     /// Copy `dst.len()` bytes out of the data area at `off`.
-    fn data_read(&self, off: u64, dst: &mut [u8]);
+    fn data_read(&self, off: u64, dst: &mut [u8]) {
+        self.read_with(off, dst.len(), &mut |src| dst.copy_from_slice(src));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -115,27 +132,29 @@ impl Segment for HeapSegment {
         self.ctrl[slot as usize].store(v, Ordering::Release);
     }
 
-    fn data_write(&self, off: u64, src: &[u8]) {
+    fn write_with(&self, off: u64, len: usize, f: &mut dyn FnMut(&mut [u8])) {
         let off = off as usize;
-        debug_assert!(off + src.len() <= self.data.len());
-        // SAFETY: bounds asserted; the range is producer-owned per the
-        // `Segment` contract, and the subsequent `ctrl_store(Tail)` release
-        // publishes it before any consumer acquire-load can cover it.
-        unsafe {
-            let dst = self.data.as_ptr().add(off) as *mut u8;
-            std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
-        }
+        let cells = &self.data[off..off + len];
+        // SAFETY: `cells` is a bounds-checked subslice and `UnsafeCell<u8>`
+        // has the layout of `u8`. The range is producer-owned per the
+        // `Segment` contract, so no other reference to these bytes exists
+        // while `f` runs, and the subsequent `ctrl_store(Tail)` release
+        // publishes them before any consumer acquire-load can cover them.
+        let bytes =
+            unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr()), len) };
+        f(bytes);
     }
 
-    fn data_read(&self, off: u64, dst: &mut [u8]) {
+    fn read_with(&self, off: u64, len: usize, f: &mut dyn FnMut(&[u8])) {
         let off = off as usize;
-        debug_assert!(off + dst.len() <= self.data.len());
-        // SAFETY: bounds asserted; the range is consumer-owned (published
-        // by a Tail release the caller has already acquire-loaded).
-        unsafe {
-            let src = self.data.as_ptr().add(off) as *const u8;
-            std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), dst.len());
-        }
+        let cells = &self.data[off..off + len];
+        // SAFETY: `cells` is a bounds-checked subslice and `UnsafeCell<u8>`
+        // has the layout of `u8`. The range is consumer-owned (published by
+        // a Tail release the caller has already acquire-loaded), and the
+        // producer cannot reuse it until the caller stores `Head` after `f`
+        // returns, so nothing writes these bytes while `f` reads them.
+        let bytes = unsafe { std::slice::from_raw_parts(UnsafeCell::raw_get(cells.as_ptr()), len) };
+        f(bytes);
     }
 }
 
@@ -161,10 +180,14 @@ pub fn default_shm_dir() -> PathBuf {
 /// area follows. Every access is a positioned read/write syscall: slower
 /// than a true `mmap`, but dependency-free, and the kernel's per-page
 /// locking gives each 8-byte aligned control access the atomicity and
-/// ordering the protocol needs.
+/// ordering the protocol needs. The in-place views lend a bounce buffer
+/// per direction (one producer and one consumer, so neither lock is
+/// contended), reused across calls.
 pub struct FileSegment {
     file: std::fs::File,
     capacity: u64,
+    write_bounce: Mutex<Vec<u8>>,
+    read_bounce: Mutex<Vec<u8>>,
 }
 
 impl FileSegment {
@@ -178,7 +201,7 @@ impl FileSegment {
             .truncate(true)
             .open(path)?;
         file.set_len(FILE_HEADER + capacity)?;
-        let seg = FileSegment { file, capacity };
+        let seg = FileSegment::from_file(file, capacity);
         seg.write_at(8, &capacity.to_le_bytes())?;
         // Magic last: a peer that sees it knows the header is complete.
         seg.write_at(0, &SEG_MAGIC.to_le_bytes())?;
@@ -198,7 +221,7 @@ impl FileSegment {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let mut probe = FileSegment { file, capacity: 0 };
+        let mut probe = FileSegment::from_file(file, 0);
         let mut word = [0u8; 8];
         if probe.read_at(0, &mut word).is_err() || u64::from_le_bytes(word) != SEG_MAGIC {
             return Ok(None);
@@ -209,6 +232,15 @@ impl FileSegment {
             return Ok(None);
         }
         Ok(Some(probe))
+    }
+
+    fn from_file(file: std::fs::File, capacity: u64) -> Self {
+        FileSegment {
+            file,
+            capacity,
+            write_bounce: Mutex::new(Vec::new()),
+            read_bounce: Mutex::new(Vec::new()),
+        }
     }
 
     fn ctrl_off(slot: Ctrl) -> u64 {
@@ -259,6 +291,20 @@ impl Segment for FileSegment {
             .expect("shm segment control write");
     }
 
+    fn write_with(&self, off: u64, len: usize, f: &mut dyn FnMut(&mut [u8])) {
+        let mut bounce = self.write_bounce.lock();
+        let bytes = lend(&mut bounce, len);
+        f(bytes);
+        self.data_write(off, bytes);
+    }
+
+    fn read_with(&self, off: u64, len: usize, f: &mut dyn FnMut(&[u8])) {
+        let mut bounce = self.read_bounce.lock();
+        let bytes = lend(&mut bounce, len);
+        self.data_read(off, bytes);
+        f(bytes);
+    }
+
     fn data_write(&self, off: u64, src: &[u8]) {
         debug_assert!(off + src.len() as u64 <= self.capacity);
         self.write_at(FILE_HEADER + off, src)
@@ -270,6 +316,15 @@ impl Segment for FileSegment {
         self.read_at(FILE_HEADER + off, dst)
             .expect("shm segment data read");
     }
+}
+
+/// The first `len` bytes of `bounce`, grown (never shrunk) to fit, so a
+/// steady stream of records reuses one allocation and skips re-zeroing it.
+pub(super) fn lend(bounce: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if bounce.len() < len {
+        bounce.resize(len, 0);
+    }
+    &mut bounce[..len]
 }
 
 #[cfg(test)]

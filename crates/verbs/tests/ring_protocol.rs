@@ -14,13 +14,17 @@
 //!   `Head` still fits, because `Head` only advances (the stale check is
 //!   conservative);
 //! - the handshake terminates: every reachable state has a successor until
-//!   both sides are done (no stuck states).
+//!   both sides are done (no stuck states);
+//! - no record is torn: the consumer reads each record in place
+//!   (`try_pop_with`) and stores `Head` only afterwards, so the producer
+//!   never publishes into the slot the consumer is still reading.
 //!
 //! The checker is validated against itself: the *pre-fix* consumer (which
 //! returned `Closed` without re-reading `Tail` after observing the close
 //! flag) is model-checked too, and the checker must find its lost-record
 //! interleaving — the exact race the ring property tests caught on real
-//! threads.
+//! threads. Likewise a consumer that releases the slot (stores `Head`)
+//! before reading it in place must be caught tearing a record.
 //!
 //! Bounds: capacities 1–3 records × streams of 1–4 records by default.
 //! Setting `RING_PROTOCOL_DEEP=1` widens the bounds (capacity ≤ 4, stream
@@ -47,13 +51,19 @@ enum Prod {
     Done,
 }
 
-/// Consumer program counter, mirroring `SpscRing::try_pop` step for step.
+/// Consumer program counter, mirroring `SpscRing::try_pop_with` step for
+/// step.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Cons {
     /// About to load `Tail`.
     LoadTail,
     /// Loaded `Tail` as `t`; about to compare against own `Head`.
     Compare { t: u8 },
+    /// Reading the record at logical position `slot` in place (the
+    /// consumer's closure runs here).
+    Read { slot: u8 },
+    /// Finished reading; about to release the slot by storing `Head`.
+    StoreHead,
     /// Saw `t == head`; about to load the close flag.
     LoadClosed,
     /// Saw the close flag set; about to re-read `Tail` (the post-fix
@@ -73,15 +83,30 @@ struct World {
     prod: Prod,
     cons: Cons,
     consumed: u8,
+    /// The producer published into a slot the consumer was reading.
+    torn: bool,
 }
 
 /// Model parameters: `n` records through a ring holding `cap` records,
-/// with or without the close-drain `Recheck` step.
+/// with or without the close-drain `Recheck` step, storing `Head` after
+/// the in-place read (the real ring) or before it (the broken variant).
 #[derive(Clone, Copy)]
 struct Model {
     n: u8,
     cap: u8,
     recheck_on_close: bool,
+    release_before_read: bool,
+}
+
+impl Default for Model {
+    fn default() -> Self {
+        Model {
+            n: 1,
+            cap: 1,
+            recheck_on_close: true,
+            release_before_read: false,
+        }
+    }
 }
 
 impl Model {
@@ -93,6 +118,7 @@ impl Model {
             prod: Prod::LoadHead { i: 0 },
             cons: Cons::LoadTail,
             consumed: 0,
+            torn: false,
         }
     }
 
@@ -121,6 +147,9 @@ impl Model {
                         w.tail + 1,
                         self.cap
                     );
+                    if let Cons::Read { slot } = w.cons {
+                        v.torn |= slot % self.cap == w.tail % self.cap;
+                    }
                     v.tail = w.tail + 1;
                     v.prod = if i + 1 < self.n {
                         Prod::LoadHead { i: i + 1 }
@@ -154,11 +183,27 @@ impl Model {
                 if t == w.head {
                     v.cons = Cons::LoadClosed;
                 } else {
-                    // A record is published: consume it and loop.
-                    v.head = w.head + 1;
-                    v.consumed = w.consumed + 1;
-                    v.cons = Cons::LoadTail;
+                    // A record is published: read it in place. The broken
+                    // variant releases its slot first.
+                    if self.release_before_read {
+                        v.head = w.head + 1;
+                    }
+                    v.cons = Cons::Read { slot: w.head };
                 }
+                out.push(v);
+            }
+            Cons::Read { .. } => {
+                v.consumed = w.consumed + 1;
+                v.cons = if self.release_before_read {
+                    Cons::LoadTail
+                } else {
+                    Cons::StoreHead
+                };
+                out.push(v);
+            }
+            Cons::StoreHead => {
+                v.head = w.head + 1;
+                v.cons = Cons::LoadTail;
                 out.push(v);
             }
             Cons::LoadClosed => {
@@ -187,9 +232,9 @@ impl Model {
         }
     }
 
-    /// Explore every interleaving; returns the set of `consumed` counts
-    /// observed in final (both-done) states.
-    fn check(&self) -> HashSet<u8> {
+    /// Explore every interleaving; returns the set of `(consumed, torn)`
+    /// outcomes observed in final (both-done) states.
+    fn check(&self) -> HashSet<(u8, bool)> {
         let mut seen: HashSet<World> = HashSet::new();
         let mut stack = vec![self.initial()];
         let mut finals = HashSet::new();
@@ -206,7 +251,7 @@ impl Model {
                 // the handshake must not have lost records.
                 assert_eq!(w.prod, Prod::Done, "producer stuck in {w:?}");
                 assert_eq!(w.cons, Cons::Done, "consumer stuck in {w:?}");
-                finals.insert(w.consumed);
+                finals.insert((w.consumed, w.torn));
             } else {
                 stack.extend(succ.iter().copied());
             }
@@ -227,9 +272,9 @@ fn bounds() -> (u8, u8) {
     }
 }
 
-/// Every interleaving of the post-fix protocol delivers the whole stream:
-/// the only reachable final consumed-count is `n`, for every bounded
-/// (records, capacity) pair.
+/// Every interleaving of the post-fix protocol delivers the whole stream
+/// untorn: the only reachable final outcome is `n` records consumed with no
+/// slot overwritten mid-read, for every bounded (records, capacity) pair.
 #[test]
 fn close_drain_handshake_loses_nothing_in_any_interleaving() {
     let (max_n, max_cap) = bounds();
@@ -238,14 +283,14 @@ fn close_drain_handshake_loses_nothing_in_any_interleaving() {
             let finals = Model {
                 n,
                 cap,
-                recheck_on_close: true,
+                ..Model::default()
             }
             .check();
             assert_eq!(
                 finals,
-                HashSet::from([n]),
+                HashSet::from([(n, false)]),
                 "n={n} cap={cap}: some interleaving finished with a \
-                 consumed-count other than {n}"
+                 consumed-count other than {n} or a torn record"
             );
         }
     }
@@ -258,18 +303,40 @@ fn close_drain_handshake_loses_nothing_in_any_interleaving() {
 #[test]
 fn checker_finds_the_prefix_close_race() {
     let finals = Model {
-        n: 1,
-        cap: 1,
         recheck_on_close: false,
+        ..Model::default()
     }
     .check();
     assert!(
-        finals.contains(&0),
+        finals.contains(&(0, false)),
         "the lost-record interleaving of the buggy protocol was not found \
          (checker too weak): finals={finals:?}"
     );
     assert!(
-        finals.contains(&1),
+        finals.contains(&(1, false)),
+        "the clean interleaving must also be reachable: finals={finals:?}"
+    );
+}
+
+/// Checker self-test: a consumer that stores `Head` before reading the
+/// record in place must be caught with the producer publishing into the
+/// slot under the read — the race that storing `Head` after the consumer's
+/// closure returns rules out.
+#[test]
+fn checker_finds_the_release_before_read_tear() {
+    let finals = Model {
+        n: 2,
+        release_before_read: true,
+        ..Model::default()
+    }
+    .check();
+    assert!(
+        finals.contains(&(2, true)),
+        "the torn-record interleaving of the early-release protocol was not \
+         found (checker too weak): finals={finals:?}"
+    );
+    assert!(
+        finals.contains(&(2, false)),
         "the clean interleaving must also be reachable: finals={finals:?}"
     );
 }
@@ -284,13 +351,14 @@ fn stale_head_space_check_never_overcommits() {
     let _ = Model {
         n: max_n,
         cap: max_cap,
-        recheck_on_close: true,
+        ..Model::default()
     }
     .check();
 }
 
 /// Concrete counterpart on the real ring: hammer the close-drain
-/// handshake with real threads and varying producer/consumer timing.
+/// handshake with real threads and varying producer/consumer timing,
+/// alternating the copying and the in-place API between rounds.
 /// Default 200 rounds; `RING_PROTOCOL_DEEP=1` runs 5000.
 #[test]
 fn concrete_close_drain_stress() {
@@ -315,10 +383,19 @@ fn concrete_close_drain_stress() {
         let mut buf = Vec::new();
         let mut got = 0u32;
         loop {
-            match rx.try_pop(&mut buf) {
-                Popped::Record(kind) => {
+            let popped = if round % 2 == 0 {
+                match rx.try_pop(&mut buf) {
+                    Popped::Record(kind) => Popped::Record((kind, buf.clone())),
+                    Popped::Empty => Popped::Empty,
+                    Popped::Closed => Popped::Closed,
+                }
+            } else {
+                rx.try_pop_with(&mut buf, |kind, bytes| (kind, bytes.to_vec()))
+            };
+            match popped {
+                Popped::Record((kind, bytes)) => {
                     assert_eq!(kind, (got % 251) as u8, "round {round}");
-                    assert_eq!(buf, got.to_le_bytes(), "round {round}");
+                    assert_eq!(bytes, got.to_le_bytes(), "round {round}");
                     got += 1;
                 }
                 Popped::Empty => std::hint::spin_loop(),

@@ -8,25 +8,98 @@
 //!   span is smaller than the record, with no sacrificial slot, and the
 //!   published-byte ledger (`len()`) reconciles after every operation;
 //! - a real producer thread and consumer thread agree on the stream for
-//!   arbitrary payload mixes, ending in the close-drain handshake.
+//!   arbitrary payload mixes, ending in the close-drain handshake;
+//! - the in-place API (`try_push_with` / `try_pop_with`) carries exactly
+//!   the stream the copying API (`try_push` / `try_pop`) does, on both the
+//!   heap and the file segment backings.
 //!
 //! The vendored proptest is deterministic (seeded from the test name), so
 //! a green run is reproducible.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use partix_verbs::shm::{HeapSegment, Popped, SpscRing, RECORD_HEADER};
+use partix_verbs::shm::{FileSegment, HeapSegment, Popped, Segment, SpscRing, RECORD_HEADER};
 use proptest::prelude::*;
 
 fn ring(cap: usize) -> SpscRing {
     SpscRing::new(Arc::new(HeapSegment::new(cap)))
 }
 
+/// Byte `j` of the deterministic payload of record `i`.
+fn payload_byte(i: usize, j: usize) -> u8 {
+    (i.wrapping_mul(37).wrapping_add(j.wrapping_mul(11)) & 0xff) as u8
+}
+
 /// Deterministic payload for record `i` of length `len`.
 fn payload(i: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|j| (i.wrapping_mul(37).wrapping_add(j.wrapping_mul(11)) & 0xff) as u8)
-        .collect()
+    (0..len).map(|j| payload_byte(i, j)).collect()
+}
+
+/// Builds a fresh segment of the given data capacity.
+type MakeSegment = fn(usize) -> Arc<dyn Segment>;
+
+/// A fresh file segment of `cap` data bytes under a name no other case or
+/// test uses; the file is unlinked at once (the open handle keeps it).
+#[cfg(unix)]
+fn file_segment(cap: usize) -> Arc<dyn Segment> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "partix_ring_props_{}_{}.ring",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let seg = FileSegment::create(&path, cap as u64).expect("create file segment");
+    std::fs::remove_file(&path).expect("unlink file segment");
+    Arc::new(seg)
+}
+
+/// Push records of `lens` through `r` — with the in-place API when
+/// `in_place`, else the copying one — popping with the same API whenever
+/// the ring is full, then close and drain. Returns the popped stream.
+fn stream(r: &SpscRing, lens: &[usize], in_place: bool) -> Vec<(u8, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut scratch = Vec::new();
+    let mut pop = |out: &mut Vec<(u8, Vec<u8>)>| {
+        let popped = if in_place {
+            r.try_pop_with(&mut scratch, |kind, bytes| (kind, bytes.to_vec()))
+        } else {
+            match r.try_pop(&mut scratch) {
+                Popped::Record(kind) => Popped::Record((kind, scratch.clone())),
+                Popped::Empty => Popped::Empty,
+                Popped::Closed => Popped::Closed,
+            }
+        };
+        match popped {
+            Popped::Record(rec) => {
+                out.push(rec);
+                true
+            }
+            _ => false,
+        }
+    };
+    for (i, &len) in lens.iter().enumerate() {
+        let kind = (i % 251) as u8;
+        let bytes = payload(i, len);
+        loop {
+            let pushed = if in_place {
+                r.try_push_with(kind, len, |at, piece| {
+                    for (j, b) in piece.iter_mut().enumerate() {
+                        *b = payload_byte(i, at + j);
+                    }
+                })
+            } else {
+                r.try_push(kind, &bytes)
+            };
+            if pushed {
+                break;
+            }
+            assert!(pop(&mut out), "a full ring must hold a record to pop");
+        }
+    }
+    r.close();
+    while pop(&mut out) {}
+    out
 }
 
 proptest! {
@@ -152,6 +225,34 @@ proptest! {
         }
         prop_assert_eq!(drained, pushed, "one popped, one pushed: count preserved");
         prop_assert_eq!(r.len(), 0);
+    }
+
+    /// The in-place API is the copying API's twin: any capacity and record
+    /// mix (records straddling the wrap at arbitrary split points included)
+    /// pops the same stream through `try_push_with` / `try_pop_with` as
+    /// through `try_push` / `try_pop`, on heap and file segments alike.
+    #[test]
+    fn in_place_stream_equals_copying_stream(
+        cap in 24usize..=512,
+        lens in prop::collection::vec(0usize..=160, 1..60),
+    ) {
+        let max_payload = cap - RECORD_HEADER as usize;
+        let lens: Vec<usize> = lens.iter().map(|&l| l.min(max_payload)).collect();
+        let want: Vec<(u8, Vec<u8>)> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| ((i % 251) as u8, payload(i, len)))
+            .collect();
+        let mut backings: Vec<(&str, MakeSegment)> =
+            vec![("heap", |cap| Arc::new(HeapSegment::new(cap)))];
+        #[cfg(unix)]
+        backings.push(("file", file_segment));
+        for (name, make) in backings {
+            for in_place in [false, true] {
+                let got = stream(&SpscRing::new(make(cap)), &lens, in_place);
+                prop_assert_eq!(&got, &want, "{} segment, in_place={}", name, in_place);
+            }
+        }
     }
 
     /// Cross-thread stream with arbitrary payload mixes: a real producer
