@@ -236,9 +236,8 @@ fn bench_event_queue(c: &mut Criterion) {
         })
     });
 
-    // Same-timestamp storm: everything fires at once, exercising the
-    // batched same-time drain (one lock per MAX_BATCH events, not per
-    // event).
+    // Same-timestamp storm: everything fires at once, so the whole storm
+    // runs inside one epoch of the one-shard engine.
     g.bench_function("same_time_storm_10k", |b| {
         b.iter(|| {
             let sim = Scheduler::new();
@@ -316,7 +315,7 @@ enum Traced {
     /// residency histograms (`World::enable_flow_tracing`).
     Flows,
     /// Windowed time-series sampling: the scheduler ticks a `Sampler`
-    /// at batch boundaries and it captures delta frames of the ledger
+    /// at epoch boundaries and it captures delta frames of the ledger
     /// (`World::enable_sampling`).
     Sampled,
 }

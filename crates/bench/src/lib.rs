@@ -2,8 +2,8 @@
 //!
 //! Experiment harnesses and reporting for regenerating every table and
 //! figure of the paper's evaluation. The `figures` binary drives
-//! [`experiments`]; the Criterion benches under `benches/` time reduced
-//! versions of the same experiments.
+//! [`experiments`] and times each figure; the Criterion bench under
+//! `benches/` measures the runtime hot paths.
 
 #![warn(missing_docs)]
 

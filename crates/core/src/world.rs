@@ -276,10 +276,10 @@ impl World {
     /// Enable windowed time-series sampling: a [`Sampler`] captures a delta
     /// frame of the telemetry ledger (and per-stage histograms) every
     /// `interval` of this world's time, retaining the last `capacity`
-    /// frames. In sim mode the scheduler drives it at deterministic points
-    /// (epoch boundaries on the sharded engine, batch boundaries on the
-    /// sequential one), so frame sequences are byte-identical across job
-    /// counts; wall-clock worlds tick it from whoever drives progress (e.g.
+    /// frames. In sim mode the scheduler drives it at its epoch boundaries
+    /// (once per distinct timestamp on the sequential scheduler), so frame
+    /// sequences are byte-identical across job counts; wall-clock worlds
+    /// tick it from whoever drives progress (e.g.
     /// [`partix_verbs::ShmFabric::attach_sampler`]). Idempotent: a second
     /// call returns the sampler installed by the first.
     pub fn enable_sampling(&self, interval: SimDuration, capacity: usize) -> Arc<Sampler> {

@@ -53,5 +53,5 @@ pub use clock::{Clock, RealClock, SimClock, ThreadTimer, TimeSource, Timer};
 pub use parallel::{default_jobs, par_map};
 pub use resource::SerialResource;
 pub use rng::{split_seed, stream_rng};
-pub use scheduler::{EventKey, SampleHook, Scheduler};
+pub use scheduler::{SampleHook, Scheduler};
 pub use time::{SimDuration, SimTime};

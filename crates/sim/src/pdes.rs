@@ -1,11 +1,11 @@
 //! Sharded parallel discrete-event simulation with conservative
 //! synchronisation.
 //!
-//! The sequential [`Scheduler`](crate::Scheduler) tops out at one core: a
-//! single global heap serialises every event in the simulation. This module
-//! is the scale substrate: simulated nodes are partitioned across
-//! **shards**, each shard owns a private event queue (the same slab +
-//! index-min-heap layout as the sequential scheduler), and shards advance
+//! This module is the one event engine behind every
+//! [`Scheduler`](crate::Scheduler): the sequential scheduler is its
+//! one-shard case, and the sharded one is its scale substrate. Simulated
+//! nodes are partitioned across **shards**, each shard owns a private
+//! event queue (a slab of slots plus an index min-heap), and shards advance
 //! in parallel under a **conservative barrier-epoch protocol** whose safety
 //! window comes from the physical lookahead of the modelled network — a
 //! cross-shard event (a wire delivery) can never be due sooner than the
@@ -55,8 +55,8 @@
 //!
 //! The cross-shard channel path performs **zero steady-state allocations**:
 //! mailboxes are preallocated to [`PdesConfig::channel_capacity`] and
-//! swapped (not reallocated) at merge time, local queues reuse the PR 1
-//! slab/arena event pool (the crate-private `Slab`), and the merge sort is
+//! swapped (not reallocated) at merge time, local queues reuse the slab
+//! event pool (the crate-private `Slab`), and the merge sort is
 //! an in-place `sort_unstable`. `tests/pdes_alloc.rs` pins this with a
 //! counting allocator.
 

@@ -1,40 +1,33 @@
 //! The discrete-event scheduler.
 //!
-//! A [`Scheduler`] owns a priority queue of timestamped events. Executing an
-//! event may schedule further events through a clone of the same handle,
-//! which is why the queue lives behind a lock that is *not* held while an
-//! event runs.
+//! A [`Scheduler`] is a cheap, cloneable handle to one [`Pdes`] engine whose
+//! shards run type-erased closures. Executing an event may schedule further
+//! events through a clone of the same handle. The constructor picks the
+//! engine's shape; every method has one body for both:
 //!
-//! Determinism: two events scheduled for the same instant execute in the
-//! order they were scheduled (a monotonically increasing sequence number
-//! breaks ties), so a fixed seed yields a bit-identical simulation.
+//! - [`Scheduler::new`] / [`with_capacity`](Scheduler::with_capacity)
+//!   build the **sequential** scheduler: one shard and a 1 ns lookahead,
+//!   so each barrier epoch is exactly one timestamp. Node affinity
+//!   ([`at_node`](Scheduler::at_node)) is a census only.
+//! - [`Scheduler::sharded`] builds one shard per simulated node, and node
+//!   affinity routes each event to its node's shard.
+//!
+//! Determinism: events execute in ascending `(time, shard, seq)` order
+//! (see [`crate::pdes::ShardKey`]). On one shard two events scheduled for
+//! the same instant therefore execute in the order they were scheduled, so
+//! a fixed seed yields a bit-identical simulation.
 //!
 //! # Hot-path layout
 //!
-//! The queue is split into two structures so the steady state allocates
-//! nothing per event:
-//!
-//! - a **slab of event slots** holding the closures. Small closures (up to
-//!   [`INLINE_EVENT_BYTES`] bytes, the common case for simulation callbacks)
-//!   are stored *inline* in the slot — no `Box` per event; larger ones fall
-//!   back to a heap box transparently. Freed slots go on a free list and are
-//!   reused, so slab capacity reaches a high-water mark and stays there;
-//! - an **index min-heap** of small `Copy` entries `(time, seq, slot)`.
-//!   Sift operations move 24-byte records instead of fat closure objects,
-//!   and the heap's backing storage is likewise reused across pops.
-//!
-//! [`run`](Scheduler::run) and [`run_until`](Scheduler::run_until) drain the
-//! queue in **batches of same-timestamp events**: one lock acquisition pops
-//! the whole batch (this is safe — any event a batch member schedules is
-//! clamped to "now" and receives a later sequence number, so it can never
-//! have to run before the rest of the batch). The pending-event count is
-//! derived from the scheduled/executed counters, so
-//! [`events_pending`](Scheduler::events_pending) never takes the lock and
-//! the hot path pays no extra atomic per event.
+//! Each shard queues events in a slab of slots plus an index min-heap of
+//! small `Copy` entries, so the steady state allocates nothing per event.
+//! Small closures (up to [`INLINE_EVENT_BYTES`] bytes, the common case for
+//! simulation callbacks) are stored *inline* in the slot — no `Box` per
+//! event; larger ones fall back to a heap box transparently. The
+//! pending-event count is derived from the scheduled/executed counters, so
+//! [`events_pending`](Scheduler::events_pending) never takes a lock.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -44,7 +37,6 @@ use parking_lot::Mutex;
 use crate::pdes::{
     EpochObservation, Pdes, PdesConfig, PdesNode, PdesReport, PdesShardStat, ShardCtx, ShardLogic,
 };
-use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
 /// Closures up to this many bytes are stored inline in the event slab
@@ -116,61 +108,6 @@ impl Drop for RawEvent {
     }
 }
 
-/// The scheduler's **public total order**: events execute in ascending
-/// `(time, seq)` order, where `seq` is the monotonically increasing number
-/// assigned at scheduling time. Two events never share a key (seqs are
-/// unique), so the order is total and tie-breaking at equal timestamps is
-/// *specified* — scheduling order, not an accident of heap layout. The
-/// sharded PDES engine extends this key with a shard coordinate (see
-/// [`crate::pdes::ShardKey`]); both orders are part of the determinism
-/// contract and are asserted by tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventKey {
-    /// Virtual execution instant.
-    pub time: SimTime,
-    /// Scheduling sequence number, unique per scheduler.
-    pub seq: u64,
-}
-
-/// Heap record: the ordering key plus the slab slot. `Copy`, 24 bytes.
-#[derive(Clone, Copy)]
-struct HeapEntry {
-    key: EventKey,
-    slot: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so that BinaryHeap (a max-heap) pops the earliest entry.
-        other.key.cmp(&self.key)
-    }
-}
-
-struct Queue {
-    heap: BinaryHeap<HeapEntry>,
-    slots: Slab<RawEvent>,
-}
-
-impl Queue {
-    fn with_capacity(n: usize) -> Self {
-        Queue {
-            heap: BinaryHeap::with_capacity(n),
-            slots: Slab::with_capacity(n),
-        }
-    }
-}
-
 /// Per-node counts of node-affine events (see [`Scheduler::at_node`]).
 /// Allocated once by [`Scheduler::enable_node_affinity`]; the last slot
 /// collects events whose node id exceeds the configured range.
@@ -179,22 +116,19 @@ struct AffinityCounts {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution mode
+// Closure shards
 // ---------------------------------------------------------------------------
 //
-// `Scheduler::sharded` swaps the sequential queue for a `pdes::Pdes` engine
-// whose `ShardLogic` is a thin adapter (`ClosureShard`) over the same
-// type-erased `RawEvent` closures. Every node gets its own shard (so the
-// deterministic `(time, shard, seq)` total order is independent of the job
-// count), and `--jobs` only chooses how many worker threads the epochs run
-// on. While a shard executes an event, its `ShardCtx` is published in a
-// thread-local so that `Scheduler::at`/`at_node`/`now` calls made from
-// inside the closure re-enter the owning shard: same-node schedules stay on
-// the private local lane; cross-node schedules go through the mailbox merge
-// lane and must respect the engine lookahead (the LogGP wire latency `L`).
+// The engine's `ShardLogic` is a thin adapter (`ClosureShard`) that runs the
+// stored `RawEvent`. While a shard executes an event, its `ShardCtx` is
+// published in a thread-local so that `Scheduler::at`/`at_node`/`now` calls
+// made from inside the closure re-enter the owning shard: same-shard
+// schedules go on the private local lane; cross-shard schedules (only
+// possible with more than one shard) go through the mailbox merge lane and
+// must respect the engine lookahead (the LogGP wire latency `L`).
 
 /// Identity of the shard context currently executing an event on this
-/// thread. `rt` disambiguates between coexisting sharded schedulers.
+/// thread. `rt` disambiguates between coexisting schedulers.
 #[derive(Clone, Copy)]
 struct ActiveShard {
     rt: u64,
@@ -202,13 +136,26 @@ struct ActiveShard {
     node: PdesNode,
 }
 
+impl ActiveShard {
+    /// Lend the published `ShardCtx` to `f`. The `&mut` lent to
+    /// `ClosureShard::handle` is suspended while the closure runs, so the
+    /// reborrow is unique for the closure's extent.
+    fn with_ctx<R>(self, f: impl FnOnce(&mut ShardCtx<'_, RawEvent>) -> R) -> R {
+        // Safety: published by ClosureShard::handle on this thread for the
+        // dynamic extent of the currently executing event; no other path can
+        // reach the context while the closure runs. The 'static cast never
+        // escapes this scope.
+        f(unsafe { &mut *(self.ctx as *mut ShardCtx<'static, RawEvent>) })
+    }
+}
+
 thread_local! {
     static ACTIVE_SHARD: Cell<Option<ActiveShard>> = const { Cell::new(None) };
 }
 
 /// Publishes a `ShardCtx` for the dynamic extent of one event, restoring
-/// the previous value on drop (events never nest, but a shard event may
-/// drive a *different* scheduler whose events re-check `rt`).
+/// the previous value on drop (events never nest, but an event may drive a
+/// *different* scheduler whose events re-check `rt`).
 struct ActiveShardGuard {
     prev: Option<ActiveShard>,
 }
@@ -232,8 +179,8 @@ impl Drop for ActiveShardGuard {
     }
 }
 
-/// Per-shard logic of the sharded scheduler: runs the stored closure with
-/// the shard context published in thread-local storage so the closure's
+/// Per-shard logic of every scheduler: runs the stored closure with the
+/// shard context published in thread-local storage so the closure's
 /// `Scheduler` calls route back into this shard.
 struct ClosureShard {
     rt: u64,
@@ -248,55 +195,43 @@ impl ShardLogic for ClosureShard {
     }
 }
 
-/// Engine state behind the sharded scheduler's lock: the pdes instance plus
-/// bookkeeping to convert its cumulative report into per-`run` deltas.
+/// Engine state behind the scheduler's lock: the pdes instance plus the
+/// report of its most recent run.
 struct EngineBox {
     pdes: Pdes<ClosureShard>,
-    last_events: u64,
     last_report: Option<PdesReport>,
 }
 
-struct Sharded {
-    /// Unique runtime token matching `ActiveShard::rt`.
-    rt: u64,
-    /// Worker threads for `run` (ignored by the reference executor).
-    jobs: usize,
-    /// Engine lookahead — the model's minimum cross-node latency.
-    lookahead: SimDuration,
-    /// Use the sequential reference executor (global `(time, shard, seq)`
-    /// scan) instead of the barrier-epoch engine.
-    reference: bool,
-    engine: Mutex<EngineBox>,
-}
-
-/// Source of `Sharded::rt` tokens (0 is reserved for "none").
-static SHARDED_RT: AtomicU64 = AtomicU64::new(1);
+/// Source of `Inner::rt` tokens.
+static NEXT_RT: AtomicU64 = AtomicU64::new(1);
 
 /// Sample hook installed by [`Scheduler::set_sample_hook`]: called with the
-/// current simulation time in nanoseconds at deterministic points of the run
-/// loop (epoch boundaries in sharded mode, after each same-timestamp batch
-/// in sequential mode). The callee decides whether a sample is due, so the
-/// hook must be cheap when idle.
+/// current simulation time in nanoseconds at each epoch boundary of the run
+/// loop. The callee decides whether a sample is due, so the hook must be
+/// cheap when idle.
 pub type SampleHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 struct Inner {
     now: AtomicU64,
-    seq: AtomicU64,
+    scheduled: AtomicU64,
     executed: AtomicU64,
-    queue: Mutex<Queue>,
-    /// Reusable drain buffer for the batched run loops. Taken (not held)
-    /// while events execute, so reentrant `run` calls stay safe.
-    batch_buf: Mutex<Vec<RawEvent>>,
     /// Node-affinity diagnostics, populated lazily by
     /// [`Scheduler::enable_node_affinity`]. Disabled costs one pointer load
     /// per `at_node` call.
     affinity: OnceLock<AffinityCounts>,
-    /// Present when this scheduler executes on the sharded PDES engine
-    /// instead of the sequential queue.
-    sharded: Option<Sharded>,
-    /// Sequential-mode sample hook, called after each executed batch. In
-    /// sharded mode the hook lives on the engine instead (epoch boundaries).
-    sample_hook: OnceLock<SampleHook>,
+    /// Unique runtime token matching `ActiveShard::rt`.
+    rt: u64,
+    /// Set by the `sharded*` constructors: node affinity routes execution
+    /// to one shard per node.
+    sharded: bool,
+    /// Engine lookahead — the model's minimum cross-node latency.
+    lookahead: SimDuration,
+    /// Worker threads for `run` (ignored by the reference executor).
+    jobs: usize,
+    /// Use the sequential reference executor (global `(time, shard, seq)`
+    /// scan) instead of the barrier-epoch engine.
+    reference: bool,
+    engine: Mutex<EngineBox>,
 }
 
 /// Handle to the discrete-event simulation. Cheap to clone; all clones share
@@ -312,10 +247,6 @@ impl Default for Scheduler {
     }
 }
 
-/// Cap on how many same-timestamp events one lock acquisition pops. Bounds
-/// the drain buffer; batches larger than this simply take another trip.
-const MAX_BATCH: usize = 128;
-
 impl Scheduler {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Self {
@@ -323,20 +254,17 @@ impl Scheduler {
     }
 
     /// Create an empty simulation with storage preallocated for `events`
-    /// concurrent pending events.
+    /// concurrent pending events: the one-shard engine with a 1 ns
+    /// lookahead, so each epoch executes exactly one timestamp.
     pub fn with_capacity(events: usize) -> Self {
-        Scheduler {
-            inner: Arc::new(Inner {
-                now: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                executed: AtomicU64::new(0),
-                queue: Mutex::new(Queue::with_capacity(events)),
-                batch_buf: Mutex::new(Vec::with_capacity(MAX_BATCH.min(events.max(16)))),
-                affinity: OnceLock::new(),
-                sharded: None,
-                sample_hook: OnceLock::new(),
-            }),
-        }
+        let cfg = PdesConfig {
+            shards: 1,
+            lookahead: SimDuration::from_nanos(1),
+            // One shard never sends a cross-shard message.
+            channel_capacity: 0,
+            event_capacity: events,
+        };
+        Self::with_engine(cfg, false, 1, false)
     }
 
     /// Create a **sharded** scheduler for `nodes` simulated nodes: events
@@ -348,9 +276,7 @@ impl Scheduler {
     ///
     /// The shard count is tied to `nodes`, not `jobs`, so the deterministic
     /// `(time, shard, seq)` total order — and therefore every digest — is
-    /// identical at any job count. `step`/`step_n`/`run_until`/`run_bounded`
-    /// are unsupported in this mode (the epoch protocol has no single global
-    /// cursor to pause); drive it with `run`.
+    /// identical at any job count.
     pub fn sharded(nodes: u32, lookahead: SimDuration, jobs: usize) -> Self {
         Self::sharded_with(nodes, lookahead, jobs, false)
     }
@@ -363,52 +289,42 @@ impl Scheduler {
     }
 
     fn sharded_with(nodes: u32, lookahead: SimDuration, jobs: usize, reference: bool) -> Self {
-        assert!(
-            lookahead.as_nanos() > 0,
-            "sharded scheduler requires a positive lookahead"
-        );
-        let shards = nodes.max(1);
-        let rt = SHARDED_RT.fetch_add(1, AtomicOrdering::Relaxed);
         let cfg = PdesConfig {
-            shards,
+            shards: nodes.max(1),
             lookahead,
             ..PdesConfig::default()
         };
-        let logics = (0..shards).map(|_| ClosureShard { rt }).collect();
-        let pdes = Pdes::new(cfg, logics);
+        Self::with_engine(cfg, true, jobs, reference)
+    }
+
+    fn with_engine(cfg: PdesConfig, sharded: bool, jobs: usize, reference: bool) -> Self {
+        let rt = NEXT_RT.fetch_add(1, AtomicOrdering::Relaxed);
+        let logics = (0..cfg.shards).map(|_| ClosureShard { rt }).collect();
         Scheduler {
             inner: Arc::new(Inner {
                 now: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
+                scheduled: AtomicU64::new(0),
                 executed: AtomicU64::new(0),
-                queue: Mutex::new(Queue::with_capacity(0)),
-                batch_buf: Mutex::new(Vec::new()),
                 affinity: OnceLock::new(),
-                sharded: Some(Sharded {
-                    rt,
-                    jobs: jobs.max(1),
-                    lookahead,
-                    reference,
-                    engine: Mutex::new(EngineBox {
-                        pdes,
-                        last_events: 0,
-                        last_report: None,
-                    }),
+                rt,
+                sharded,
+                lookahead: cfg.lookahead,
+                jobs: jobs.max(1),
+                reference,
+                engine: Mutex::new(EngineBox {
+                    pdes: Pdes::new(cfg, logics),
+                    last_report: None,
                 }),
-                sample_hook: OnceLock::new(),
             }),
         }
     }
 
-    /// True when this scheduler executes on the sharded PDES engine.
+    /// True when node affinity routes execution: this scheduler was built
+    /// by [`sharded`](Self::sharded) or
+    /// [`sharded_reference`](Self::sharded_reference).
     #[inline]
     pub fn is_sharded(&self) -> bool {
-        self.inner.sharded.is_some()
-    }
-
-    /// Worker-thread count of a sharded scheduler (`None` when sequential).
-    pub fn sharded_jobs(&self) -> Option<usize> {
-        self.inner.sharded.as_ref().map(|s| s.jobs)
+        self.inner.sharded
     }
 
     /// Engine lookahead of a sharded scheduler (`None` when sequential).
@@ -416,118 +332,85 @@ impl Scheduler {
     /// happens-before ordered across shards even under parallel execution,
     /// so state written by the earlier one is visible to the later.
     pub fn sharded_lookahead(&self) -> Option<SimDuration> {
-        self.inner.sharded.as_ref().map(|s| s.lookahead)
+        self.inner.sharded.then_some(self.inner.lookahead)
     }
 
-    /// Engine report of the most recent sharded [`run`](Self::run) —
-    /// cumulative event/cross-message counts, epochs, channel high-water.
-    /// `None` when sequential or before the first run.
+    /// Engine report of the most recent [`run`](Self::run) — cumulative
+    /// event/cross-message counts, epochs, channel high-water. `None`
+    /// before the first run.
     pub fn pdes_report(&self) -> Option<PdesReport> {
-        self.inner
-            .sharded
-            .as_ref()
-            .and_then(|s| s.engine.lock().last_report)
+        self.inner.engine.lock().last_report
     }
 
-    /// Install the time-series sample hook. In sharded mode it fires once
-    /// per barrier epoch with the epoch's LBTS — a quiescent, jobs-invariant
-    /// instant, so frame sequences are byte-identical at any worker count.
-    /// In sequential mode it fires after each same-timestamp batch with the
-    /// batch time. One hook per scheduler; later calls are ignored.
+    /// Install the time-series sample hook. It fires at each epoch boundary
+    /// with the epoch's LBTS, a quiescent instant: every event before it has
+    /// run and none after it has. On the sequential scheduler an epoch is
+    /// one timestamp, so the hook fires once per distinct timestamp, after
+    /// every event at that timestamp (same-instant follow-ups included). On
+    /// a sharded scheduler the boundaries depend only on the event
+    /// population and the lookahead, so frame sequences are byte-identical
+    /// at any worker count. One hook per scheduler; a later call replaces
+    /// it.
     pub fn set_sample_hook(&self, hook: SampleHook) {
-        if let Some(sh) = &self.inner.sharded {
-            sh.engine
-                .lock()
-                .pdes
-                .set_epoch_hook(Arc::new(move |obs: &EpochObservation| {
-                    hook(obs.lbts.as_nanos());
-                }));
-            return;
-        }
-        let _ = self.inner.sample_hook.set(hook);
+        self.inner
+            .engine
+            .lock()
+            .pdes
+            .set_epoch_hook(Arc::new(move |obs: &EpochObservation| {
+                hook(obs.lbts.as_nanos());
+            }));
     }
 
-    /// Per-shard execution stats of a sharded scheduler (events handled,
-    /// cross-shard sends, mailbox high-water). Empty when sequential.
+    /// Per-shard execution stats (events handled, cross-shard sends,
+    /// mailbox high-water), one entry per shard.
     pub fn pdes_shard_stats(&self) -> Vec<PdesShardStat> {
-        self.inner
-            .sharded
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.engine.lock().pdes.shard_stats())
+        self.inner.engine.lock().pdes.shard_stats()
     }
 
     /// Cumulative wall-clock nanoseconds worker threads spent blocked on
-    /// epoch barriers across all sharded runs. Zero when sequential or on
-    /// the reference executor.
+    /// epoch barriers across all runs. Zero unless a sharded run used more
+    /// than one worker thread.
     pub fn pdes_barrier_wait_ns(&self) -> u64 {
-        self.inner
-            .sharded
-            .as_ref()
-            .map_or(0, |s| s.engine.lock().pdes.barrier_wait_ns())
+        self.inner.engine.lock().pdes.barrier_wait_ns()
     }
 
-    /// The `ShardCtx` published by `ClosureShard::handle` when the calling
-    /// thread is inside one of *this* scheduler's events, along with the
-    /// event's node. The `&mut` lent to `handle` is suspended while the
-    /// closure runs, so the reborrow is unique for the closure's extent.
-    fn with_active_ctx<R>(
-        &self,
-        sh: &Sharded,
-        f: impl FnOnce(&mut ShardCtx<'_, RawEvent>, PdesNode) -> R,
-    ) -> Option<R> {
-        let active = ACTIVE_SHARD.with(|c| c.get())?;
-        if active.rt != sh.rt {
-            return None;
-        }
-        // Safety: published by ClosureShard::handle on this thread for the
-        // dynamic extent of the currently executing event; no other path can
-        // reach the context while the closure runs. The 'static cast never
-        // escapes this scope.
-        let ctx = unsafe { &mut *(active.ctx as *mut ShardCtx<'static, RawEvent>) };
-        Some(f(ctx, active.node))
+    /// The shard executing one of *this* scheduler's events on the calling
+    /// thread, if any.
+    #[inline]
+    fn active(&self) -> Option<ActiveShard> {
+        ACTIVE_SHARD
+            .with(|c| c.get())
+            .filter(|a| a.rt == self.inner.rt)
     }
 
-    /// Sharded-mode scheduling: from inside an event, route through the
-    /// executing shard (`node: None` keeps the event on the current node);
-    /// from outside, seed the engine directly (the engine is idle, so there
-    /// is no lookahead constraint and seed order is the call order).
-    fn sharded_schedule(
-        &self,
-        sh: &Sharded,
-        node: Option<PdesNode>,
-        t: SimTime,
-        ev: RawEvent,
-    ) -> EventKey {
-        let seq = self.inner.seq.fetch_add(1, AtomicOrdering::Relaxed);
-        let active = ACTIVE_SHARD.with(|c| c.get()).filter(|a| a.rt == sh.rt);
-        let time = match active {
+    /// Route `ev` into the engine. From inside an event it goes through the
+    /// executing shard (`node: None` keeps it on the current node); from
+    /// outside it seeds the engine directly (the engine is idle, so there is
+    /// no lookahead constraint and seed order is the call order).
+    fn schedule(&self, node: Option<PdesNode>, t: SimTime, ev: RawEvent) {
+        self.inner.scheduled.fetch_add(1, AtomicOrdering::Relaxed);
+        match self.active() {
             Some(active) => {
-                // Safety: same contract as `with_active_ctx`.
-                let ctx = unsafe { &mut *(active.ctx as *mut ShardCtx<'static, RawEvent>) };
-                let dst = node.unwrap_or(active.node);
-                let at = t.max(ctx.now());
-                ctx.send_at(dst, at, ev);
-                at
+                active.with_ctx(|ctx| ctx.send_at(node.unwrap_or(active.node), t, ev));
             }
             None => {
-                let dst = node.unwrap_or(0);
                 let at = t.max(SimTime(self.inner.now.load(AtomicOrdering::Acquire)));
-                sh.engine.lock().pdes.seed(dst, at, ev);
-                at
+                self.inner
+                    .engine
+                    .lock()
+                    .pdes
+                    .seed(node.unwrap_or(0), at, ev);
             }
-        };
-        EventKey { time, seq }
+        }
     }
 
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        if let Some(sh) = &self.inner.sharded {
-            if let Some(t) = self.with_active_ctx(sh, |ctx, _| ctx.now()) {
-                return t;
-            }
+        match self.active() {
+            Some(active) => active.with_ctx(|ctx| ctx.now()),
+            None => SimTime(self.inner.now.load(AtomicOrdering::Acquire)),
         }
-        SimTime(self.inner.now.load(AtomicOrdering::Acquire))
     }
 
     /// Number of events executed so far.
@@ -537,63 +420,43 @@ impl Scheduler {
 
     /// Number of events currently pending. Lock-free: derived from the
     /// scheduled/executed counters, so hot loops can poll it without
-    /// touching the queue lock. Exact whenever the scheduler is quiescent;
-    /// while a batch executes, events claimed for that batch already count
-    /// as executed.
+    /// touching the engine lock. Exact whenever no [`run`](Self::run) is in
+    /// progress; during a run, events count as executed only once it
+    /// returns.
     #[inline]
     pub fn events_pending(&self) -> usize {
-        let scheduled = self.inner.seq.load(AtomicOrdering::Acquire);
+        let scheduled = self.inner.scheduled.load(AtomicOrdering::Acquire);
         let executed = self.inner.executed.load(AtomicOrdering::Acquire);
         scheduled.saturating_sub(executed) as usize
     }
 
     /// Schedule `f` to run at absolute time `t`. Scheduling in the past is a
     /// logic error; the event is clamped to "now" so the simulation still
-    /// makes progress, which keeps real-time-adjacent code robust.
-    pub fn at(&self, t: SimTime, f: impl FnOnce() + Send + 'static) {
-        self.at_keyed(t, f);
-    }
-
-    /// Schedule `f` at `t` and return the [`EventKey`] it was assigned —
-    /// the event's position in the scheduler's public `(time, seq)` total
-    /// order. Two events at the same instant execute in ascending `seq`.
+    /// makes progress, which keeps real-time-adjacent code robust. Two
+    /// events at the same instant on the same shard execute in scheduling
+    /// order.
     ///
     /// On a sharded scheduler an unaffined event stays on the node of the
-    /// event that scheduled it (main-thread schedules land on node 0), and
-    /// the returned key is advisory — the executor's total order is the
-    /// pdes `(time, shard, seq)` key.
-    pub fn at_keyed(&self, t: SimTime, f: impl FnOnce() + Send + 'static) -> EventKey {
-        if let Some(sh) = &self.inner.sharded {
-            return self.sharded_schedule(sh, None, t, RawEvent::new(f));
-        }
-        let now = self.now();
-        let t = t.max(now);
-        let seq = self.inner.seq.fetch_add(1, AtomicOrdering::Relaxed);
-        let ev = RawEvent::new(f);
-        let mut q = self.inner.queue.lock();
-        let slot = q.slots.insert(ev);
-        let key = EventKey { time: t, seq };
-        q.heap.push(HeapEntry { key, slot });
-        key
+    /// event that scheduled it (main-thread schedules land on node 0).
+    pub fn at(&self, t: SimTime, f: impl FnOnce() + Send + 'static) {
+        self.schedule(None, t, RawEvent::new(f));
     }
 
     /// Schedule `f` at `t` with **node affinity**: the event logically
     /// belongs to simulated node `node` (a wire delivery arriving there, a
-    /// completion surfacing on its CQ). On the sequential scheduler the
-    /// execution order is unchanged — affinity feeds the per-node event
-    /// census ([`node_event_counts`](Self::node_event_counts)) that sizes
-    /// and balances sharded PDES runs. On a sharded scheduler affinity **is
-    /// the routing**: the event executes on `node`'s shard, and a
-    /// cross-node schedule closer than the lookahead panics.
-    pub fn at_node(&self, node: u32, t: SimTime, f: impl FnOnce() + Send + 'static) -> EventKey {
+    /// completion surfacing on its CQ). On the sequential scheduler every
+    /// node maps to the one shard, so the execution order is unchanged —
+    /// affinity feeds the per-node event census
+    /// ([`node_event_counts`](Self::node_event_counts)) that sizes and
+    /// balances sharded PDES runs. On a sharded scheduler affinity **is the
+    /// routing**: the event executes on `node`'s shard, and a cross-node
+    /// schedule closer than the lookahead panics.
+    pub fn at_node(&self, node: u32, t: SimTime, f: impl FnOnce() + Send + 'static) {
         if let Some(a) = self.inner.affinity.get() {
             let idx = (node as usize).min(a.per_node.len() - 1);
             a.per_node[idx].fetch_add(1, AtomicOrdering::Relaxed);
         }
-        if let Some(sh) = &self.inner.sharded {
-            return self.sharded_schedule(sh, Some(node), t, RawEvent::new(f));
-        }
-        self.at_keyed(t, f)
+        self.schedule(Some(node), t, RawEvent::new(f));
     }
 
     /// Turn on per-node affinity counting for node ids `0..nodes` (one
@@ -625,190 +488,46 @@ impl Scheduler {
         self.at(self.now() + d, f);
     }
 
-    /// Execute the next pending event, advancing the clock to its timestamp.
-    /// Returns `false` when the queue is empty. One lock acquisition per
-    /// event (pop + slot release together). Unsupported in sharded mode.
-    pub fn step(&self) -> bool {
-        assert!(
-            self.inner.sharded.is_none(),
-            "Scheduler::step is unsupported in sharded mode; drive with run()"
-        );
-        let (entry, ev) = {
-            let mut q = self.inner.queue.lock();
-            match q.heap.pop() {
-                Some(e) => {
-                    let ev = q.slots.take(e.slot);
-                    (e, ev)
-                }
-                None => return false,
-            }
+    /// Run until the event queue is empty, then park the clock at the last
+    /// executed event. Returns the number of events executed by this call.
+    /// Executes barrier epochs on the configured worker threads (or the
+    /// sequential reference scan) until every shard drains.
+    ///
+    /// # Panics
+    ///
+    /// When called from inside one of this scheduler's own events.
+    pub fn run(&self) -> u64 {
+        assert!(self.active().is_none(), "Scheduler::run is not reentrant");
+        let mut eng = self.inner.engine.lock();
+        let report = if self.inner.reference {
+            eng.pdes.run_reference()
+        } else {
+            eng.pdes.run(self.inner.jobs)
         };
-        debug_assert!(entry.key.time >= self.now(), "event queue went backwards");
+        // The report is cumulative, and `executed` is only stored here,
+        // under the engine lock.
+        let ran = report.events
+            - self
+                .inner
+                .executed
+                .swap(report.events, AtomicOrdering::Relaxed);
+        eng.last_report = Some(report);
         self.inner
             .now
-            .store(entry.key.time.as_nanos(), AtomicOrdering::Release);
-        self.inner.executed.fetch_add(1, AtomicOrdering::Relaxed);
-        ev.run();
-        true
-    }
-
-    /// Pop the next batch of events sharing the earliest timestamp (up to
-    /// `MAX_BATCH`, and only at or before `deadline` when given) with a
-    /// single lock acquisition. The first event is returned by value — in the
-    /// common steady state (batch of one) nothing touches `out` at all; only
-    /// same-timestamp followers are copied into it.
-    fn pop_batch(
-        &self,
-        deadline: Option<SimTime>,
-        out: &mut Vec<RawEvent>,
-    ) -> Option<(SimTime, RawEvent)> {
-        let mut q = self.inner.queue.lock();
-        let first = *q.heap.peek()?;
-        if let Some(d) = deadline {
-            if first.key.time > d {
-                return None;
-            }
-        }
-        let t = first.key.time;
-        q.heap.pop();
-        let first_ev = q.slots.take(first.slot);
-        let mut n = 1;
-        while n < MAX_BATCH {
-            match q.heap.peek() {
-                Some(e) if e.key.time == t => {
-                    let e = q.heap.pop().expect("peeked entry");
-                    let ev = q.slots.take(e.slot);
-                    out.push(ev);
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
-        Some((t, first_ev))
-    }
-
-    /// Drain loop shared by `run`/`run_until`/`step_n`: executes batches of
-    /// same-timestamp events, locking once per batch instead of per event.
-    fn run_batched(&self, deadline: Option<SimTime>, max_events: Option<u64>) -> u64 {
-        let mut buf = std::mem::take(&mut *self.inner.batch_buf.lock());
-        let mut n: u64 = 0;
-        loop {
-            if let Some(max) = max_events {
-                if n >= max {
-                    break;
-                }
-            }
-            buf.clear();
-            let Some((t, first)) = self.pop_batch(deadline, &mut buf) else {
-                break;
-            };
-            debug_assert!(t >= self.now(), "event queue went backwards");
-            self.inner.now.store(t.as_nanos(), AtomicOrdering::Release);
-            let batch = 1 + buf.len() as u64;
-            n += batch;
-            self.inner
-                .executed
-                .fetch_add(batch, AtomicOrdering::Relaxed);
-            first.run();
-            for ev in buf.drain(..) {
-                ev.run();
-            }
-            if let Some(hook) = self.inner.sample_hook.get() {
-                hook(t.as_nanos());
-            }
-        }
-        buf.clear();
-        *self.inner.batch_buf.lock() = buf;
-        n
-    }
-
-    /// Run until the event queue is empty. Returns the number of events
-    /// executed by this call.
-    ///
-    /// Sharded mode: executes barrier epochs on the configured worker
-    /// threads (or the sequential reference scan) until every shard drains,
-    /// then parks the clock at the makespan. Not reentrant from inside one
-    /// of this scheduler's own events.
-    pub fn run(&self) -> u64 {
-        if let Some(sh) = &self.inner.sharded {
-            let reentrant = ACTIVE_SHARD
-                .with(|c| c.get())
-                .is_some_and(|a| a.rt == sh.rt);
-            assert!(
-                !reentrant,
-                "Scheduler::run is not reentrant in sharded mode"
-            );
-            let mut eng = sh.engine.lock();
-            let report = if sh.reference {
-                eng.pdes.run_reference()
-            } else {
-                eng.pdes.run(sh.jobs)
-            };
-            let ran = report.events - eng.last_events;
-            eng.last_events = report.events;
-            eng.last_report = Some(report);
-            if ran > 0 {
-                self.inner
-                    .now
-                    .fetch_max(report.makespan.as_nanos(), AtomicOrdering::AcqRel);
-            }
-            self.inner.executed.fetch_add(ran, AtomicOrdering::Relaxed);
-            return ran;
-        }
-        self.run_batched(None, None)
-    }
-
-    /// Execute up to `max` pending events (in timestamp order, batched).
-    /// Returns how many ran; fewer than `max` means the queue drained.
-    /// Note: a same-timestamp batch is never split, so up to `MAX_BATCH - 1`
-    /// events beyond `max` may execute. Unsupported in sharded mode.
-    pub fn step_n(&self, max: u64) -> u64 {
-        assert!(
-            self.inner.sharded.is_none(),
-            "Scheduler::step_n is unsupported in sharded mode; drive with run()"
-        );
-        self.run_batched(None, Some(max))
-    }
-
-    /// Run until the queue is empty or the next event is later than
-    /// `deadline` (which is left unexecuted). The clock does not advance past
-    /// the last executed event. Unsupported in sharded mode (the epoch
-    /// protocol has no single global cursor to pause at a deadline).
-    pub fn run_until(&self, deadline: SimTime) -> u64 {
-        assert!(
-            self.inner.sharded.is_none(),
-            "Scheduler::run_until is unsupported in sharded mode; drive with run()"
-        );
-        self.run_batched(Some(deadline), None)
-    }
-
-    /// Run with a safety valve: panics if more than `max_events` execute,
-    /// which catches accidental event storms in tests.
-    pub fn run_bounded(&self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while self.step() {
-            n += 1;
-            assert!(
-                n <= max_events,
-                "simulation exceeded {max_events} events; likely an event storm"
-            );
-        }
-        n
+            .fetch_max(report.makespan.as_nanos(), AtomicOrdering::AcqRel);
+        ran
     }
 
     /// High-water mark of the event slab (diagnostics): how many slots have
-    /// ever been live at once. Steady-state workloads should see this
-    /// plateau while `events_executed` keeps climbing. Sharded mode reports
-    /// the peak across shard slabs from the most recent run.
+    /// ever been live at once on any shard, as of the most recent run.
+    /// Steady-state workloads should see this plateau while
+    /// `events_executed` keeps climbing.
     pub fn slab_high_water(&self) -> usize {
-        if let Some(sh) = &self.inner.sharded {
-            return sh
-                .engine
-                .lock()
-                .last_report
-                .map_or(0, |r| r.slab_high_water);
-        }
-        self.inner.queue.lock().slots.high_water()
+        self.inner
+            .engine
+            .lock()
+            .last_report
+            .map_or(0, |r| r.slab_high_water)
     }
 }
 
@@ -840,6 +559,21 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.lock(), (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn batches_larger_than_max_batch_stay_ordered() {
+        // One instant's events outnumber any fixed-size drain batch (the
+        // old sequential queue popped at most 128 per lock acquisition).
+        let sim = Scheduler::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let n = 128 * 3 + 17;
+        for i in 0..n {
+            let log = log.clone();
+            sim.at(SimTime(7), move || log.lock().push(i));
+        }
+        sim.run();
+        assert_eq!(*log.lock(), (0..n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -881,36 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let sim = Scheduler::new();
-        let count = Arc::new(AtomicUsize::new(0));
-        for t in [10u64, 20, 30, 40] {
-            let count = count.clone();
-            sim.at(SimTime(t), move || {
-                count.fetch_add(1, AtomicOrdering::Relaxed);
-            });
-        }
-        let n = sim.run_until(SimTime(25));
-        assert_eq!(n, 2);
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 2);
-        assert_eq!(sim.events_pending(), 2);
-        sim.run();
-        assert_eq!(count.load(AtomicOrdering::Relaxed), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "event storm")]
-    fn run_bounded_catches_storms() {
-        let sim = Scheduler::new();
-        fn storm(sim: Scheduler) {
-            let s2 = sim.clone();
-            sim.after(SimDuration(1), move || storm(s2.clone()));
-        }
-        storm(sim.clone());
-        sim.run_bounded(100);
-    }
-
-    #[test]
     fn counters() {
         let sim = Scheduler::new();
         sim.at(SimTime(1), || {});
@@ -919,21 +623,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.events_executed(), 2);
         assert_eq!(sim.events_pending(), 0);
-    }
-
-    #[test]
-    fn step_n_respects_limit_and_order() {
-        let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        for t in [5u64, 1, 3, 2, 4] {
-            let log = log.clone();
-            sim.at(SimTime(t), move || log.lock().push(t));
-        }
-        let ran = sim.step_n(3);
-        assert_eq!(ran, 3);
-        assert_eq!(*log.lock(), vec![1, 2, 3]);
-        assert_eq!(sim.step_n(10), 2);
-        assert_eq!(*log.lock(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -985,49 +674,6 @@ mod tests {
         });
         drop(sim);
         assert_eq!(Arc::strong_count(&sentinel), 1);
-    }
-
-    #[test]
-    fn batches_larger_than_max_batch_stay_ordered() {
-        let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let n = MAX_BATCH * 3 + 17;
-        for i in 0..n {
-            let log = log.clone();
-            sim.at(SimTime(7), move || log.lock().push(i));
-        }
-        sim.run();
-        assert_eq!(*log.lock(), (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn event_keys_expose_the_total_order() {
-        let sim = Scheduler::new();
-        let k1 = sim.at_keyed(SimTime(10), || {});
-        let k2 = sim.at_keyed(SimTime(10), || {});
-        let k3 = sim.at_keyed(SimTime(5), || {});
-        // Same instant: scheduling order is the specified tie-break.
-        assert!(k1 < k2, "same-time keys must order by seq");
-        // Earlier instant beats a smaller seq.
-        assert!(k3 < k1 && k3.seq > k1.seq);
-        assert_eq!(k1.time, SimTime(10));
-        sim.run();
-    }
-
-    #[test]
-    fn key_order_matches_execution_order() {
-        let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut keys = Vec::new();
-        for (t, tag) in [(30u64, 'c'), (10, 'a'), (10, 'b'), (20, 'd')] {
-            let log = log.clone();
-            keys.push((sim.at_keyed(SimTime(t), move || log.lock().push(tag)), tag));
-        }
-        sim.run();
-        let mut by_key = keys.clone();
-        by_key.sort_by_key(|(k, _)| *k);
-        let expect: Vec<char> = by_key.into_iter().map(|(_, tag)| tag).collect();
-        assert_eq!(*log.lock(), expect);
     }
 
     #[test]
@@ -1146,27 +792,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unsupported in sharded mode")]
-    fn sharded_step_panics() {
-        Scheduler::sharded(2, SimDuration(1), 1).step();
-    }
-
-    #[test]
-    fn reentrant_run_from_event_is_safe() {
-        // An event invoking run() on its own scheduler must not deadlock or
-        // corrupt the drain buffer.
+    #[should_panic(expected = "not reentrant")]
+    fn reentrant_run_from_event_panics() {
+        // An event invoking run() on its own scheduler is a logic error on
+        // every scheduler: the engine is mid-epoch.
         let sim = Scheduler::new();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let (l1, l2) = (log.clone(), log.clone());
         let s2 = sim.clone();
         sim.at(SimTime(1), move || {
-            l1.lock().push("outer");
-            let l3 = l2.clone();
-            s2.at(SimTime(2), move || l3.lock().push("inner"));
+            s2.at(SimTime(2), || {});
             s2.run();
         });
         sim.run();
-        assert_eq!(*log.lock(), vec!["outer", "inner"]);
     }
 
     #[test]
@@ -1175,12 +811,16 @@ mod tests {
         let ticks = Arc::new(Mutex::new(Vec::new()));
         let t2 = ticks.clone();
         sim.set_sample_hook(Arc::new(move |t| t2.lock().push(t)));
-        for t in [10u64, 10, 20, 30] {
+        // A same-time follow-up belongs to the same instant's epoch.
+        let s2 = sim.clone();
+        sim.at(SimTime(10), move || s2.at(SimTime(10), || {}));
+        for t in [10u64, 20, 30] {
             sim.at(SimTime(t), || {});
         }
         sim.run();
-        // One call per same-timestamp batch, in order.
+        // One call per distinct timestamp, after all of its events.
         assert_eq!(*ticks.lock(), vec![10, 20, 30]);
+        assert_eq!(sim.events_executed(), 5);
     }
 
     #[test]
@@ -1213,8 +853,13 @@ mod tests {
         assert_eq!(total, 41);
         let ratio = crate::pdes::imbalance_ratio(&stats);
         assert!(ratio >= 1.0, "imbalance ratio {ratio} below 1.0");
-        // Sequential schedulers report nothing.
-        assert!(Scheduler::new().pdes_shard_stats().is_empty());
-        assert_eq!(Scheduler::new().pdes_barrier_wait_ns(), 0);
+        // The sequential scheduler is the one-shard case of the same
+        // engine, and one shard never waits on a barrier.
+        let seq = Scheduler::new();
+        hop_chain(&seq, la, 40);
+        let stats = seq.pdes_shard_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats[0].events, 41);
+        assert_eq!(seq.pdes_barrier_wait_ns(), 0);
     }
 }

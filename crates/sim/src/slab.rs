@@ -1,8 +1,6 @@
-//! A recycling slot arena shared by the event schedulers.
+//! A recycling slot arena: the event pool of every PDES shard queue.
 //!
-//! This is the PR 1 event-pool design factored out of the sequential
-//! scheduler so the sharded PDES engine reuses the same storage discipline:
-//! occupied slots hold payloads, freed slots chain onto an intrusive free
+//! Occupied slots hold payloads, freed slots chain onto an intrusive free
 //! list and are reused, so capacity climbs to a high-water mark and stays
 //! there. Heaps then order small `Copy` index records instead of sifting
 //! fat payloads.

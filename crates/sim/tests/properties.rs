@@ -1,5 +1,7 @@
 //! Property-based tests of the simulation substrate's core guarantees.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,53 +60,34 @@ proptest! {
     }
 
     /// The slab-backed queue pops in exact `(time, seq)` order under
-    /// arbitrary interleavings of push and pop — the interleaving recycles
-    /// slab slots mid-run, so this also checks that slot reuse never
-    /// reorders or loses an event. Each scheduled closure logs its own
-    /// sequence number; a reference heap of `(clamped_time, seq)` pairs
-    /// predicts the exact ordering.
+    /// arbitrary interleavings of push and pop. The ops are replayed from
+    /// inside running events — each pop op hands control back to the
+    /// scheduler, whose next event resumes the replay — so slab slots
+    /// recycle mid-run, and this also checks that slot reuse never reorders
+    /// or loses an event. Each scheduled closure logs its own sequence
+    /// number; a reference heap of `(clamped_time, seq)` pairs predicts the
+    /// exact ordering.
     #[test]
     fn slab_heap_pops_in_time_seq_order(
         ops in prop::collection::vec(prop::option::of(0u64..1_000), 1..300)
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let sim = Scheduler::new();
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut expected = Vec::new();
-        let mut next_seq = 0u64;
-        for op in ops {
-            match op {
-                Some(t) => {
-                    // Mirror the scheduler's clamp-to-now rule for events
-                    // scheduled in the past.
-                    let clamped = t.max(sim.now().as_nanos());
-                    model.push(Reverse((clamped, next_seq)));
-                    let log = log.clone();
-                    let seq = next_seq;
-                    sim.at(SimTime(t), move || log.lock().push(seq));
-                    next_seq += 1;
-                }
-                None => {
-                    let stepped = sim.step();
-                    match model.pop() {
-                        Some(Reverse((_, seq))) => {
-                            prop_assert!(stepped, "scheduler empty but model was not");
-                            expected.push(seq);
-                        }
-                        None => prop_assert!(!stepped, "scheduler popped from empty model"),
-                    }
-                }
-            }
-        }
-        // Drain the rest; the batched path must agree with the model too.
+        let replay = Arc::new(Mutex::new(Replay {
+            ops: ops.into_iter(),
+            model: BinaryHeap::new(),
+            expected: Vec::new(),
+            next_seq: 0,
+        }));
+        resume(&sim, &replay, &log);
         sim.run();
-        while let Some(Reverse((_, seq))) = model.pop() {
-            expected.push(seq);
+        let mut replay = replay.lock();
+        prop_assert_eq!(replay.ops.len(), 0, "replay stopped early");
+        // The events left after the last pop op drain in model order too.
+        while let Some(Reverse((_, seq))) = replay.model.pop() {
+            replay.expected.push(seq);
         }
-        prop_assert_eq!(log.lock().clone(), expected);
+        prop_assert_eq!(log.lock().clone(), replay.expected.clone());
         prop_assert_eq!(sim.events_pending(), 0);
     }
 
@@ -151,5 +134,47 @@ proptest! {
         }
         let span = last_end - first_start.unwrap();
         prop_assert!(r.busy_total().as_nanos() <= span);
+    }
+}
+
+/// Shared state of `slab_heap_pops_in_time_seq_order`: the remaining ops and
+/// the reference heap that predicts the pop order.
+struct Replay {
+    ops: std::vec::IntoIter<Option<u64>>,
+    model: BinaryHeap<Reverse<(u64, u64)>>,
+    expected: Vec<u64>,
+    next_seq: u64,
+}
+
+/// Apply ops until a pop op the queue can serve: `Some(t)` schedules an
+/// event at `t`, `None` pops the model's earliest entry and returns, so the
+/// scheduler executes that same event next and it resumes the replay. A pop
+/// on an empty model is a no-op, as on an empty queue.
+fn resume(sim: &Scheduler, replay: &Arc<Mutex<Replay>>, log: &Arc<Mutex<Vec<u64>>>) {
+    loop {
+        let mut st = replay.lock();
+        match st.ops.next() {
+            None => return,
+            Some(Some(t)) => {
+                // Mirror the scheduler's clamp-to-now rule for events
+                // scheduled in the past.
+                let clamped = t.max(sim.now().as_nanos());
+                let seq = st.next_seq;
+                st.next_seq += 1;
+                st.model.push(Reverse((clamped, seq)));
+                drop(st);
+                let (sim2, replay2, log2) = (sim.clone(), replay.clone(), log.clone());
+                sim.at(SimTime(t), move || {
+                    log2.lock().push(seq);
+                    resume(&sim2, &replay2, &log2);
+                });
+            }
+            Some(None) => {
+                if let Some(Reverse((_, seq))) = st.model.pop() {
+                    st.expected.push(seq);
+                    return;
+                }
+            }
+        }
     }
 }

@@ -11,10 +11,11 @@
 //!
 //! Who drives the clock depends on the executor:
 //!
-//! - **Simulated runs** tick the sampler with *virtual* time: the sequential
-//!   scheduler after each same-instant batch, and the sharded PDES engine at
-//!   its epoch barriers (where no events are in flight and the ledger is in
-//!   a state every executor passes through). Frames from a sharded run are
+//! - **Simulated runs** tick the sampler with *virtual* time at the PDES
+//!   engine's epoch boundaries: once per distinct timestamp on the one-shard
+//!   sequential scheduler, at the epoch barriers on a sharded one (where no
+//!   events are in flight and the ledger is in a state every executor
+//!   passes through). Frames from a sharded run are
 //!   therefore deterministic and byte-identical across `--jobs` counts,
 //!   like every other observable.
 //! - **Real-time runs** (the ShmFabric) tick it with wall time from the
