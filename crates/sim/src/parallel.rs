@@ -6,12 +6,12 @@
 //! uneven item costs still balance), with output order matching input
 //! order. Callers that hand it independent, separately seeded simulations
 //! get byte-identical results at any job count; the PDES engine hands it
-//! one shard group per worker and synchronises epochs with a barrier
-//! internally (see [`crate::pdes`]).
+//! one shard group per worker and synchronises epochs internally with the
+//! crate's spin-then-park epoch barrier (see [`crate::pdes`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 /// Default worker count: the machine's available parallelism (1 if unknown).
 pub fn default_jobs() -> usize {
@@ -27,11 +27,10 @@ pub fn default_jobs() -> usize {
 /// dealt out in fixed blocks. A panic in `f` propagates to the caller.
 ///
 /// Exactly `min(jobs, items.len())` workers are spawned. A caller whose
-/// items rendezvous with each other (e.g. through a
-/// [`std::sync::Barrier`]) may therefore rely on every item being claimed
-/// by a distinct live worker **only** when `items.len() <= jobs` — the
-/// PDES epoch loop passes exactly one shard group per worker for this
-/// reason.
+/// items rendezvous with each other (e.g. through an epoch barrier) may
+/// therefore rely on every item being claimed by a distinct live worker
+/// **only** when `items.len() <= jobs` — the PDES epoch loop passes
+/// exactly one shard group per worker for this reason.
 pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -68,6 +67,93 @@ where
         .into_iter()
         .map(|m| m.into_inner().expect("worker filled slot"))
         .collect()
+}
+
+/// Busy-poll rounds a waiter spends before it starts yielding. Kept short:
+/// an epoch carries a few microseconds of work, and a longer spin only burns
+/// the CPU a descheduled peer needs when threads outnumber cores.
+const SPIN_ROUNDS: u32 = 128;
+
+/// `yield_now` rounds after the spin, before the waiter parks.
+const YIELD_ROUNDS: u32 = 64;
+
+/// A reusable barrier for a fixed set of threads, built for short epochs.
+///
+/// A waiter busy-polls the generation word for a bounded budget, then
+/// yields, then parks on a condvar — the poll-then-park back-off of a
+/// dedicated progress thread. The **last arriver** of each generation runs
+/// a caller-supplied closure before it releases the others, so the closure
+/// runs exactly once per generation, while every other party is stopped
+/// inside `wait`, and every released party observes its writes (as well as
+/// everything each party wrote before arriving).
+pub(crate) struct EpochBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    /// Waiters past the spin and yield budgets, blocked on `released`.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    released: Condvar,
+}
+
+impl EpochBarrier {
+    /// A barrier for exactly `parties` threads.
+    pub(crate) fn new(parties: usize) -> Self {
+        assert!(parties > 0, "a barrier needs at least one party");
+        EpochBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            released: Condvar::new(),
+        }
+    }
+
+    /// Block until all parties have arrived. The last arriver runs `last`
+    /// before releasing the others.
+    pub(crate) fn wait(&self, last: impl FnOnce()) {
+        // Read the generation before arriving: it cannot advance until this
+        // thread's arrival is counted.
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Reset before publishing the new generation, so a released
+            // party re-arriving at once counts from zero.
+            self.arrived.store(0, Ordering::Relaxed);
+            last();
+            // SeqCst pairs this store and the `parked` load below with a
+            // parker's `parked` increment and generation re-check: either
+            // the parker sees the new generation or this thread sees it
+            // counted, and notifies.
+            self.generation.store(gen + 1, Ordering::SeqCst);
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                // A parker holds the lock from its `parked` increment until
+                // it sleeps, so taking it here closes the lost-wakeup gap.
+                drop(self.lock.lock());
+                self.released.notify_all();
+            }
+            return;
+        }
+        let released = || self.generation.load(Ordering::Acquire) != gen;
+        for _ in 0..SPIN_ROUNDS {
+            if released() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..YIELD_ROUNDS {
+            if released() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        let mut guard = self.lock.lock();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == gen {
+            self.released.wait(&mut guard);
+        }
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -111,5 +197,69 @@ mod tests {
             }
             x
         });
+    }
+
+    /// Runs `threads` parties through `generations` barrier generations.
+    /// Each party publishes its generation before arriving; the last
+    /// arriver checks every party's publication, then bumps the closure
+    /// counter; every released party checks it sees exactly that bump, so
+    /// a second run of the closure in one generation shows too.
+    /// Mismatches are counted rather than asserted in place, so a failure
+    /// reports instead of stranding the other parties at the barrier.
+    fn drive_barrier(threads: usize, generations: u64) {
+        let barrier = EpochBarrier::new(threads);
+        let arrivals: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+        let closure_runs = AtomicU64::new(0);
+        let unseen_arrivals = AtomicU64::new(0);
+        let unseen_closures = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for me in 0..threads {
+                let (barrier, arrivals) = (&barrier, &arrivals);
+                let closure_runs = &closure_runs;
+                let (unseen_arrivals, unseen_closures) = (&unseen_arrivals, &unseen_closures);
+                s.spawn(move || {
+                    for g in 1..=generations {
+                        // Relaxed on purpose: only the barrier orders these.
+                        arrivals[me].store(g, Ordering::Relaxed);
+                        barrier.wait(|| {
+                            let stale = arrivals
+                                .iter()
+                                .filter(|a| a.load(Ordering::Relaxed) != g)
+                                .count();
+                            unseen_arrivals.fetch_add(stale as u64, Ordering::Relaxed);
+                            closure_runs.fetch_add(1, Ordering::Relaxed);
+                        });
+                        if closure_runs.load(Ordering::Relaxed) != g {
+                            unseen_closures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            unseen_arrivals.load(Ordering::Relaxed),
+            0,
+            "arrival not visible to closure"
+        );
+        assert_eq!(
+            unseen_closures.load(Ordering::Relaxed),
+            0,
+            "closure write not visible"
+        );
+        assert_eq!(
+            closure_runs.load(Ordering::Relaxed),
+            generations,
+            "one closure per generation"
+        );
+    }
+
+    #[test]
+    fn epoch_barrier_runs_last_arriver_closure_once_per_generation() {
+        // The last count puts more parties than cores, forcing the yield
+        // and park paths.
+        let oversubscribed = (default_jobs() + 1).min(8);
+        for threads in [2, 3, 4, oversubscribed] {
+            drive_barrier(threads, 10_000);
+        }
     }
 }

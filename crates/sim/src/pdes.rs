@@ -13,19 +13,32 @@
 //!
 //! # Protocol
 //!
-//! Each epoch performs two barrier-separated phases:
+//! Each epoch executes one safe window and crosses **one barrier**:
 //!
-//! 1. **merge + publish**: every shard drains its inbound mailbox (messages
-//!    sent during the previous epoch), sorted into the deterministic merge
-//!    order, and publishes the timestamp of its earliest pending event;
-//! 2. **advance**: every shard computes the global lower bound `lbts` from
-//!    the published minima and executes all of its events strictly before
-//!    `lbts + lookahead`, routing cross-shard sends into the destination
-//!    mailboxes.
+//! 1. **advance**: every shard executes all of its events strictly before
+//!    the horizon `lbts + lookahead`, routing cross-shard sends into the
+//!    destination mailboxes. Each send also lowers the sender's `out_min`,
+//!    the earliest delivery time it produced this epoch.
+//! 2. **publish**: every worker publishes `min(next local event, out_min)`
+//!    over its shards into a minima slot indexed by epoch parity, then
+//!    enters the epoch barrier. The last arriver fires the [`EpochHook`]
+//!    before it releases the others.
+//! 3. **merge**: past the barrier, every shard drains its inbound mailbox,
+//!    sorted into the deterministic merge order, and every worker computes
+//!    the next `lbts` as the minimum of the same published values.
 //!
-//! The window is safe because any message produced in phase 2 is stamped at
-//! or after `lbts` and delivered at least `lookahead` later, i.e. at or
-//! after the horizon — never inside the window being executed.
+//! Sender-published minima are what make one barrier enough: a message in
+//! flight is counted by its sender, so the bound is known before any
+//! mailbox is merged. Mailboxes are double-buffered by the same parity —
+//! senders in epoch `e` push into set `e % 2` — so owners merge one set
+//! while faster workers already send into the other, and the parity minima
+//! keep a slow reader's slots intact until the next barrier. The inline
+//! (`jobs = 1`) loop runs the same windows without threads, merging before
+//! each window.
+//!
+//! The window is safe because any message produced while advancing is
+//! stamped at or after `lbts` and delivered at least `lookahead` later,
+//! i.e. at or after the horizon — never inside the window being executed.
 //!
 //! # Determinism
 //!
@@ -43,8 +56,8 @@
 //!   executor (which runs events one at a time in global `(time, shard,
 //!   seq)` order and merges immediately) performs the same insertions;
 //! - shards share no mutable state: cross-shard interaction happens only
-//!   through the mailboxes, which are drained at barriers and sorted before
-//!   insertion, erasing the nondeterministic arrival interleaving.
+//!   through the mailboxes, which are drained after barriers and sorted
+//!   before insertion, erasing the nondeterministic arrival interleaving.
 //!
 //! The epoch structure itself is thread-count-independent (it depends only
 //! on event timestamps and the lookahead), so shard count — not job
@@ -54,21 +67,22 @@
 //! # Memory discipline
 //!
 //! The cross-shard channel path performs **zero steady-state allocations**:
-//! mailboxes are preallocated to [`PdesConfig::channel_capacity`] and
-//! swapped (not reallocated) at merge time, local queues reuse the slab
-//! event pool (the crate-private `Slab`), and the merge sort is
-//! an in-place `sort_unstable`. `tests/pdes_alloc.rs` pins this with a
+//! both parity sets of mailboxes are preallocated to
+//! [`PdesConfig::channel_capacity`] when the engine is built and drained in
+//! place at merge time, local queues reuse the slab event pool (the
+//! crate-private `Slab`), and the merge sort is an in-place
+//! `sort_unstable`. `tests/pdes_alloc.rs` pins this with a
 //! counting allocator.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::parallel::par_map;
+use crate::parallel::{par_map, EpochBarrier};
 use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
@@ -214,8 +228,8 @@ struct WireMsg<E> {
 }
 
 /// Bounded inbound channel of one shard. Senders append under a mutex
-/// during the advance phase; the owner swaps the buffer out at the next
-/// merge phase, so the backing storage is reused for the whole run.
+/// while they advance; the owner drains the buffer in place at its next
+/// merge, so the backing storage is reused for the whole run.
 struct Mailbox<E> {
     q: Mutex<Vec<WireMsg<E>>>,
     capacity: usize,
@@ -257,6 +271,7 @@ pub struct ShardCtx<'a, E> {
     local_ctr: &'a mut u64,
     out_msg_ctr: &'a mut u64,
     sent_cross: &'a mut u64,
+    out_min: &'a mut u64,
     mailboxes: &'a [Mailbox<E>],
 }
 
@@ -318,6 +333,7 @@ impl<E> ShardCtx<'_, E> {
             );
             *self.out_msg_ctr += 1;
             *self.sent_cross += 1;
+            *self.out_min = (*self.out_min).min(at.as_nanos());
             self.mailboxes[dst as usize].push(WireMsg {
                 send_time: self.now,
                 src_shard: self.shard,
@@ -374,10 +390,10 @@ pub struct EpochObservation {
 }
 
 /// Callback fired after each epoch's advance phase completes, while no
-/// events are in flight (on the parallel executor the barrier leader fires
-/// it; the other workers are blocked or merging mailboxes — which executes
-/// no model code — until it returns). Used to drive telemetry samplers at
-/// deterministic instants.
+/// events are in flight. On the parallel executor the last worker to reach
+/// the epoch barrier fires it before releasing the others, so every other
+/// worker is stopped in the barrier and no window is open until it
+/// returns. Used to drive telemetry samplers at deterministic instants.
 pub type EpochHook = Arc<dyn Fn(&EpochObservation) + Send + Sync>;
 
 /// Per-shard execution diagnostics, for load-imbalance analysis.
@@ -408,6 +424,13 @@ pub fn imbalance_ratio(stats: &[PdesShardStat]) -> f64 {
     max / (total as f64 / stats.len() as f64)
 }
 
+/// One worker's published lower bounds, one slot per epoch parity, aligned
+/// so no two workers' slots share a cache line (128 bytes also keeps the
+/// adjacent-line prefetcher from pairing them).
+#[derive(Default)]
+#[repr(align(128))]
+struct WorkerMinima([AtomicU64; 2]);
+
 struct ShardCell<L: ShardLogic> {
     id: u32,
     logic: L,
@@ -419,8 +442,9 @@ struct ShardCell<L: ShardLogic> {
     in_msg_ctr: u64,
     /// Stamp counter for outgoing cross-shard messages.
     out_msg_ctr: u64,
-    /// Reused drain/sort buffer for mailbox merging.
-    scratch: Vec<WireMsg<L::Event>>,
+    /// Earliest `deliver_at` (ns) this shard sent cross-shard since the
+    /// threaded executor last published it; `u64::MAX` when none.
+    out_min: u64,
     executed: u64,
     sent_cross: u64,
     last_time: SimTime,
@@ -436,7 +460,7 @@ impl<L: ShardLogic> ShardCell<L> {
             local_ctr: 0,
             in_msg_ctr: 0,
             out_msg_ctr: 0,
-            scratch: Vec::with_capacity(cfg.channel_capacity),
+            out_min: u64::MAX,
             executed: 0,
             sent_cross: 0,
             last_time: SimTime::ZERO,
@@ -457,17 +481,18 @@ impl<L: ShardLogic> ShardCell<L> {
 
     /// Drain this shard's mailbox into the local queue in the deterministic
     /// merge order `(send_time, src_shard, src_msg_seq)`.
+    ///
+    /// No sender touches `mailbox` while its owner merges it (every
+    /// executor merges a set only while its senders are stopped or writing
+    /// the other set), so the lock is uncontended and the buffer is sorted
+    /// and drained in place, keeping its capacity.
     fn merge_inbox(&mut self, mailbox: &Mailbox<L::Event>) {
-        {
-            let mut q = mailbox.q.lock();
-            if q.is_empty() {
-                return;
-            }
-            std::mem::swap(&mut *q, &mut self.scratch);
+        let mut q = mailbox.q.lock();
+        if q.is_empty() {
+            return;
         }
-        self.scratch
-            .sort_unstable_by_key(|m| (m.send_time, m.src_shard, m.src_msg_seq));
-        for m in self.scratch.drain(..) {
+        q.sort_unstable_by_key(|m| (m.send_time, m.src_shard, m.src_msg_seq));
+        for m in q.drain(..) {
             self.in_msg_ctr += 1;
             let seq = (self.in_msg_ctr << 1) | 1;
             let slot = self.slab.insert(m.ev);
@@ -506,6 +531,7 @@ impl<L: ShardLogic> ShardCell<L> {
             out_msg_ctr,
             executed,
             sent_cross,
+            out_min,
             last_time,
             ..
         } = self;
@@ -527,6 +553,7 @@ impl<L: ShardLogic> ShardCell<L> {
                 local_ctr,
                 out_msg_ctr,
                 sent_cross,
+                out_min,
                 mailboxes,
             };
             logic.handle(&mut ctx, top.node, ev);
@@ -544,6 +571,7 @@ impl<L: ShardLogic> ShardCell<L> {
             out_msg_ctr,
             executed,
             sent_cross,
+            out_min,
             last_time,
             ..
         } = self;
@@ -561,6 +589,7 @@ impl<L: ShardLogic> ShardCell<L> {
             local_ctr,
             out_msg_ctr,
             sent_cross,
+            out_min,
             mailboxes,
         };
         logic.handle(&mut ctx, top.node, ev);
@@ -577,10 +606,15 @@ pub struct Pdes<L: ShardLogic> {
     cfg: PdesConfig,
     map: ShardMap,
     cells: Vec<ShardCell<L>>,
-    mailboxes: Vec<Mailbox<L::Event>>,
+    /// Two inbound mailboxes per shard, one set per epoch parity: the
+    /// threaded executor's senders in epoch `e` push into set `e % 2`
+    /// while owners merge the other. The inline and reference executors
+    /// use set 0 only. Between runs every mailbox is empty.
+    mailboxes: [Vec<Mailbox<L::Event>>; 2],
     epoch_hook: Option<EpochHook>,
-    /// Cumulative wall time workers spent blocked on epoch barriers,
-    /// summed across workers (diagnostic; not part of the report).
+    /// Cumulative wall time workers spent waiting (spinning, yielding or
+    /// parked) at epoch barriers, summed across workers (diagnostic; not
+    /// part of the report).
     barrier_wait_ns: AtomicU64,
 }
 
@@ -604,9 +638,11 @@ impl<L: ShardLogic> Pdes<L> {
             .enumerate()
             .map(|(i, logic)| ShardCell::new(i as u32, logic, &cfg))
             .collect();
-        let mailboxes = (0..cfg.shards)
-            .map(|_| Mailbox::with_capacity(cfg.channel_capacity))
-            .collect();
+        let mailboxes = std::array::from_fn(|_| {
+            (0..cfg.shards)
+                .map(|_| Mailbox::with_capacity(cfg.channel_capacity))
+                .collect()
+        });
         Pdes {
             cfg,
             map,
@@ -623,28 +659,33 @@ impl<L: ShardLogic> Pdes<L> {
         self.epoch_hook = Some(hook);
     }
 
-    /// Cumulative wall time workers spent blocked on epoch barriers, summed
+    /// Cumulative wall time workers spent waiting at epoch barriers, summed
     /// across workers. Zero before a parallel run (the inline and reference
     /// executors have no barriers).
     pub fn barrier_wait_ns(&self) -> u64 {
         self.barrier_wait_ns.load(Ordering::Relaxed)
     }
 
-    /// Per-shard execution diagnostics, in shard order.
+    /// Per-shard execution diagnostics, in shard order. Mailbox figures
+    /// fold both parity sets; each set holds at most one epoch's messages,
+    /// so they read the same at every job count.
     pub fn shard_stats(&self) -> Vec<PdesShardStat> {
         self.cells
             .iter()
-            .map(|c| PdesShardStat {
-                shard: c.id,
-                events: c.executed,
-                sent_cross: c.sent_cross,
-                mailbox_high_water: self.mailboxes[c.id as usize]
-                    .high_water
-                    .load(Ordering::Relaxed),
-                mailbox_overflows: self.mailboxes[c.id as usize]
-                    .overflows
-                    .load(Ordering::Relaxed),
-                slab_high_water: c.slab.high_water(),
+            .map(|c| {
+                let inbox = self.mailboxes.iter().map(|set| &set[c.id as usize]);
+                PdesShardStat {
+                    shard: c.id,
+                    events: c.executed,
+                    sent_cross: c.sent_cross,
+                    mailbox_high_water: inbox
+                        .clone()
+                        .map(|m| m.high_water.load(Ordering::Relaxed))
+                        .max()
+                        .unwrap_or(0),
+                    mailbox_overflows: inbox.map(|m| m.overflows.load(Ordering::Relaxed)).sum(),
+                    slab_high_water: c.slab.high_water(),
+                }
             })
             .collect()
     }
@@ -683,12 +724,14 @@ impl<L: ShardLogic> Pdes<L> {
             channel_high_water: self
                 .mailboxes
                 .iter()
+                .flatten()
                 .map(|m| m.high_water.load(Ordering::Relaxed))
                 .max()
                 .unwrap_or(0),
             channel_overflows: self
                 .mailboxes
                 .iter()
+                .flatten()
                 .map(|m| m.overflows.load(Ordering::Relaxed))
                 .sum(),
             slab_high_water: self
@@ -712,54 +755,58 @@ impl<L: ShardLogic> Pdes<L> {
 
         let lookahead = self.cfg.lookahead;
         let map = self.map;
+        // No message is in flight between runs, so the first bound is the
+        // earliest pending event and needs no barrier; `out_min` restarts
+        // here because the inline loop never publishes it.
+        let mut first_lbts = u64::MAX;
+        for cell in &mut self.cells {
+            cell.out_min = u64::MAX;
+            first_lbts = first_lbts.min(cell.next_time_ns());
+        }
+        if first_lbts == u64::MAX {
+            return self.report(0);
+        }
         // Deal shards round-robin into exactly `jobs` groups: par_map
         // spawns one worker per group, so every group is owned by a live
         // thread and the barrier's participant count is exact.
-        let mut groups: Vec<Vec<ShardCell<L>>> = (0..jobs).map(|_| Vec::new()).collect();
+        let mut groups: Vec<(usize, Vec<ShardCell<L>>)> =
+            (0..jobs).map(|w| (w, Vec::new())).collect();
         for (i, cell) in self.cells.drain(..).enumerate() {
-            groups[i % jobs].push(cell);
+            groups[i % jobs].1.push(cell);
         }
-        let mins: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let barrier = Barrier::new(jobs);
+        let minima: Vec<WorkerMinima> = (0..jobs).map(|_| WorkerMinima::default()).collect();
+        let barrier = EpochBarrier::new(jobs);
         let mailboxes = &self.mailboxes;
         let epoch_hook = &self.epoch_hook;
         let barrier_acc = &self.barrier_wait_ns;
 
-        let finished = par_map(jobs, groups, |mut group: Vec<ShardCell<L>>| {
+        let finished = par_map(jobs, groups, |(worker, mut group)| {
+            let mut lbts = first_lbts;
             let mut epochs = 0u64;
             let mut waited_ns = 0u64;
             loop {
-                // Phase 1: merge last epoch's messages, publish minima.
-                for cell in &mut group {
-                    cell.merge_inbox(&mailboxes[cell.id as usize]);
-                    mins[cell.id as usize].store(cell.next_time_ns(), Ordering::Release);
-                }
-                let t0 = Instant::now();
-                barrier.wait();
-                waited_ns += t0.elapsed().as_nanos() as u64;
-                // Every worker computes the same bound from the same
-                // published values, so all exit (or continue) together.
-                let mut lbts = u64::MAX;
-                for m in &mins {
-                    lbts = lbts.min(m.load(Ordering::Acquire));
-                }
-                if lbts == u64::MAX {
-                    break;
-                }
                 epochs += 1;
+                let parity = (epochs & 1) as usize;
                 let horizon = SimTime(lbts.saturating_add(lookahead.as_nanos()));
-                // Phase 2: advance inside the safe window.
+                // Advance inside the safe window; sends land in this
+                // epoch's mailbox set, which no owner drains until every
+                // sender has passed the barrier below.
+                let outbox = &mailboxes[parity];
+                let mut next = u64::MAX;
                 for cell in &mut group {
-                    cell.run_until(horizon, map, lookahead, mailboxes);
+                    cell.run_until(horizon, map, lookahead, outbox);
+                    next = next
+                        .min(cell.next_time_ns())
+                        .min(std::mem::replace(&mut cell.out_min, u64::MAX));
                 }
+                // Publish this group's bound on the next epoch's events:
+                // its own earliest pending event or its earliest send.
+                // Relaxed: the barrier orders the store before every read.
+                minima[worker].0[parity].store(next, Ordering::Relaxed);
                 let t0 = Instant::now();
-                let leader = barrier.wait().is_leader();
-                waited_ns += t0.elapsed().as_nanos() as u64;
-                // Exactly one worker observes the boundary. Safe: until the
-                // leader reaches the next phase-1 barrier, the other workers
-                // only merge mailboxes (no model events execute), so the
-                // hook sees the quiesced post-window state.
-                if leader {
+                // The last arriver observes the boundary while every other
+                // worker is stopped in the barrier and no window is open.
+                barrier.wait(|| {
                     if let Some(hook) = epoch_hook {
                         hook(&EpochObservation {
                             epoch: epochs,
@@ -767,6 +814,22 @@ impl<L: ShardLogic> Pdes<L> {
                             horizon,
                         });
                     }
+                });
+                waited_ns += t0.elapsed().as_nanos() as u64;
+                for cell in &mut group {
+                    cell.merge_inbox(&outbox[cell.id as usize]);
+                }
+                // Every worker computes the same bound from the same
+                // published values, so all exit (or continue) together.
+                // A slow reader is safe: the slot for this parity is not
+                // rewritten until after the next barrier.
+                lbts = minima
+                    .iter()
+                    .map(|m| m.0[parity].load(Ordering::Relaxed))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                if lbts == u64::MAX {
+                    break;
                 }
             }
             barrier_acc.fetch_add(waited_ns, Ordering::Relaxed);
@@ -791,7 +854,7 @@ impl<L: ShardLogic> Pdes<L> {
         loop {
             let mut lbts = u64::MAX;
             for cell in &mut self.cells {
-                cell.merge_inbox(&self.mailboxes[cell.id as usize]);
+                cell.merge_inbox(&self.mailboxes[0][cell.id as usize]);
                 lbts = lbts.min(cell.next_time_ns());
             }
             if lbts == u64::MAX {
@@ -800,7 +863,7 @@ impl<L: ShardLogic> Pdes<L> {
             epochs += 1;
             let horizon = SimTime(lbts.saturating_add(lookahead.as_nanos()));
             for cell in &mut self.cells {
-                cell.run_until(horizon, map, lookahead, &self.mailboxes);
+                cell.run_until(horizon, map, lookahead, &self.mailboxes[0]);
             }
             if let Some(hook) = &self.epoch_hook {
                 hook(&EpochObservation {
@@ -862,12 +925,12 @@ impl<L: ShardLogic> Pdes<L> {
                 if time >= horizon {
                     break;
                 }
-                self.cells[shard as usize].step_one(map, lookahead, &self.mailboxes);
+                self.cells[shard as usize].step_one(map, lookahead, &self.mailboxes[0]);
                 // Merge immediately: inbound counters advance in exactly
                 // the global sender order, the order the merge-phase sort
                 // reproduces batch-wise in epoch mode.
                 for cell in &mut self.cells {
-                    cell.merge_inbox(&self.mailboxes[cell.id as usize]);
+                    cell.merge_inbox(&self.mailboxes[0][cell.id as usize]);
                 }
             }
             if let Some(hook) = &self.epoch_hook {
@@ -1131,5 +1194,140 @@ mod tests {
         let mut pdes = Pdes::new(PdesConfig::default(), (0..16).map(|_| Nop).collect());
         let r = pdes.run(4);
         assert_eq!(r, PdesReport::default());
+    }
+
+    #[test]
+    fn mailbox_stats_are_jobs_invariant() {
+        // Every node that receives `Go(rounds)` sends a `Sink` to each node on
+        // another shard and, while rounds remain, re-arms itself one lookahead
+        // later — a multi-epoch burst that overfills undersized mailboxes in
+        // both parity sets.
+        struct Burst {
+            nodes: u32,
+        }
+
+        #[derive(Clone, Copy)]
+        enum BurstEv {
+            Go(u32),
+            Sink,
+        }
+
+        impl ShardLogic for Burst {
+            type Event = BurstEv;
+            fn handle(&mut self, ctx: &mut ShardCtx<'_, BurstEv>, node: PdesNode, ev: BurstEv) {
+                if let BurstEv::Go(rounds) = ev {
+                    for n in 0..self.nodes {
+                        if ctx.map().shard_of(n) != ctx.shard() {
+                            ctx.send(n, SimDuration::from_nanos(10), BurstEv::Sink);
+                        }
+                    }
+                    if rounds > 0 {
+                        ctx.send(node, SimDuration::from_nanos(10), BurstEv::Go(rounds - 1));
+                    }
+                }
+            }
+        }
+        let run = |jobs: usize| {
+            let cfg = PdesConfig {
+                shards: 3,
+                lookahead: SimDuration::from_nanos(10),
+                channel_capacity: 3, // deliberately undersized
+                event_capacity: 64,
+            };
+            let mut pdes = Pdes::new(cfg, (0..3).map(|_| Burst { nodes: 12 }).collect());
+            pdes.seed(0, SimTime(0), BurstEv::Go(5));
+            pdes.seed(1, SimTime(0), BurstEv::Go(2));
+            pdes.seed(5, SimTime(10), BurstEv::Go(3));
+            let r = pdes.run(jobs);
+            let per_shard: Vec<(usize, u64)> = pdes
+                .shard_stats()
+                .iter()
+                .map(|s| (s.mailbox_high_water, s.mailbox_overflows))
+                .collect();
+            (r, per_shard)
+        };
+        let (r1, shards1) = run(1);
+        assert!(r1.epochs > 2, "the burst must span several epochs");
+        assert!(r1.channel_high_water > 3);
+        assert!(r1.channel_overflows > 0);
+        for jobs in [2, 3] {
+            let (r, shards) = run(jobs);
+            assert_eq!(r.epochs, r1.epochs);
+            assert_eq!(r.channel_high_water, r1.channel_high_water, "jobs={jobs}");
+            assert_eq!(r.channel_overflows, r1.channel_overflows, "jobs={jobs}");
+            assert_eq!(shards, shards1, "jobs={jobs} per-shard mailbox stats");
+        }
+    }
+
+    #[test]
+    fn epoch_hook_sees_the_same_boundaries_on_every_executor() {
+        // Several tokens hop across shards; every executed event bumps a
+        // shared counter, so a hook that fired while any window was still
+        // open would record a count that differs between executors.
+        struct Tokens {
+            nodes: u32,
+            executed: Arc<AtomicU64>,
+        }
+        impl ShardLogic for Tokens {
+            type Event = u32;
+            fn handle(&mut self, ctx: &mut ShardCtx<'_, u32>, node: PdesNode, remaining: u32) {
+                self.executed.fetch_add(1, Ordering::Relaxed);
+                if remaining > 0 {
+                    let next = (node * 3 + 1) % self.nodes;
+                    let delay = SimDuration::from_nanos(50 + (node as u64 % 7) * 5);
+                    ctx.send(next, delay, remaining - 1);
+                }
+            }
+        }
+        type Boundary = (u64, u64, u64, u64);
+        let run = |jobs: usize| -> Vec<Boundary> {
+            let executed = Arc::new(AtomicU64::new(0));
+            let seen: Arc<Mutex<Vec<Boundary>>> = Arc::default();
+            let cfg = PdesConfig {
+                shards: 5,
+                lookahead: SimDuration::from_nanos(50),
+                channel_capacity: 16,
+                event_capacity: 64,
+            };
+            let logics = (0..5)
+                .map(|_| Tokens {
+                    nodes: 23,
+                    executed: executed.clone(),
+                })
+                .collect();
+            let mut pdes = Pdes::new(cfg, logics);
+            let (count, log) = (executed.clone(), seen.clone());
+            pdes.set_epoch_hook(Arc::new(move |obs: &EpochObservation| {
+                // A slow hook: any worker still inside a window would get
+                // to run events before the count below is read.
+                std::thread::sleep(std::time::Duration::from_micros(10));
+                log.lock().push((
+                    obs.epoch,
+                    obs.lbts.as_nanos(),
+                    obs.horizon.as_nanos(),
+                    count.load(Ordering::Relaxed),
+                ));
+            }));
+            for (i, node) in [0u32, 4, 9, 17].into_iter().enumerate() {
+                pdes.seed(node, SimTime(i as u64 * 13), 120);
+            }
+            if jobs == 0 {
+                pdes.run_reference();
+            } else {
+                pdes.run(jobs);
+            }
+            let log = seen.lock().clone();
+            log
+        };
+        let reference = run(0);
+        assert!(reference.len() > 10, "expected many epochs");
+        assert_eq!(
+            reference.last().unwrap().3,
+            4 * 121,
+            "every event before the last hook"
+        );
+        for jobs in [1, 2, 4] {
+            assert_eq!(run(jobs), reference, "jobs={jobs} moved an epoch boundary");
+        }
     }
 }

@@ -367,7 +367,7 @@ impl Scheduler {
         self.inner.engine.lock().pdes.shard_stats()
     }
 
-    /// Cumulative wall-clock nanoseconds worker threads spent blocked on
+    /// Cumulative wall-clock nanoseconds worker threads spent waiting at
     /// epoch barriers across all runs. Zero unless a sharded run used more
     /// than one worker thread.
     pub fn pdes_barrier_wait_ns(&self) -> u64 {

@@ -106,7 +106,7 @@ pub struct PdesOutcome {
     pub digest: u64,
     /// Per-shard diagnostics, in shard order.
     pub shard_stats: Vec<PdesShardStat>,
-    /// Wall-clock ns workers spent blocked on epoch barriers (0 on the
+    /// Wall-clock ns workers spent waiting at epoch barriers (0 on the
     /// reference executor).
     pub barrier_wait_ns: u64,
 }
