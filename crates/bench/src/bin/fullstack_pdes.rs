@@ -2,7 +2,7 @@
 //! — on the sharded PDES engine: a figure-representative ring sweep and the
 //! chaos fault-sweep at `--jobs N`, hard-gated on byte equality with the
 //! sequential reference executor. Writes `BENCH_fullstack.json` into the
-//! out dir and at the repo root.
+//! out dir.
 //!
 //! ```text
 //! fullstack_pdes [--ranks N] [--jobs LIST] [--smoke] [--out DIR] [--seed S]
@@ -399,12 +399,9 @@ fn main() {
     }
 
     let json = render_json(smoke, host_cpus, ranks, seed, &scenarios, speedup_jobs4);
-    let paths = partix_bench::artifacts::write_artifact(&out, "BENCH_fullstack.json", &json)
+    let path = partix_bench::artifacts::write_artifact(&out, "BENCH_fullstack.json", &json)
         .expect("write results");
-    println!();
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
+    println!("\nwrote {}", path.display());
 
     // Forensics pass: re-run the chaos ring with flow tracing, arm a flight
     // recorder against mid-run panics, and dump unconditionally at the end

@@ -295,10 +295,7 @@ fn main() {
     }
 
     let json = render_json(&cfg, host_cpus, &patterns);
-    let paths = partix_bench::artifacts::write_artifact(&out, "BENCH_pdes.json", &json)
+    let path = partix_bench::artifacts::write_artifact(&out, "BENCH_pdes.json", &json)
         .expect("write results");
-    println!();
-    for p in &paths {
-        println!("wrote {}", p.display());
-    }
+    println!("\nwrote {}", path.display());
 }

@@ -49,7 +49,7 @@ impl Quality {
         }
     }
 
-    /// Reduced counts for CI / criterion.
+    /// Reduced counts for CI and `--quick` smoke runs.
     pub fn quick() -> Self {
         Quality {
             warmup: 2,

@@ -2,8 +2,8 @@
 //!
 //! Experiment harnesses and reporting for regenerating every table and
 //! figure of the paper's evaluation. The `figures` binary drives
-//! [`experiments`] and times each figure; the Criterion bench under
-//! `benches/` measures the runtime hot paths.
+//! [`experiments`] and times each figure; the product's own speed is
+//! measured by `perfbench/` at the repository root.
 
 #![warn(missing_docs)]
 

@@ -248,21 +248,15 @@ impl Default for Scheduler {
 }
 
 impl Scheduler {
-    /// Create an empty simulation at t = 0.
+    /// Create an empty simulation at t = 0: the one-shard engine with a
+    /// 1 ns lookahead, so each epoch executes exactly one timestamp.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Create an empty simulation with storage preallocated for `events`
-    /// concurrent pending events: the one-shard engine with a 1 ns
-    /// lookahead, so each epoch executes exactly one timestamp.
-    pub fn with_capacity(events: usize) -> Self {
         let cfg = PdesConfig {
             shards: 1,
             lookahead: SimDuration::from_nanos(1),
             // One shard never sends a cross-shard message.
             channel_capacity: 0,
-            event_capacity: events,
+            event_capacity: 0,
         };
         Self::with_engine(cfg, false, 1, false)
     }

@@ -50,3 +50,175 @@ pub fn instant_pair(cfg: PartixConfig, partitions: u32, part_bytes: usize) -> In
 pub fn pattern(round: u64, partition: u32) -> u8 {
     (round as u8).wrapping_mul(31) ^ (partition as u8).wrapping_mul(7) ^ 0x5A
 }
+
+pub mod alloc {
+    //! The one counting allocator behind the allocation gates
+    //! (`alloc_regression`, `pdes_alloc`, `shm_alloc`).
+    //!
+    //! [`CountingAlloc`] wraps `System` and, while a [`measure`] window is
+    //! open, counts every allocation (and, separately, those of at least
+    //! [`LARGE`] bytes) on **every** thread of the process: progress threads
+    //! and engine workers are part of the path under test, so the counters
+    //! are global, not thread-local. Each gate binary installs it with
+    //!
+    //! ```text
+    //! #[global_allocator]
+    //! static ALLOCATOR: CountingAlloc = CountingAlloc;
+    //! ```
+    //!
+    //! and is declared `harness = false`, handing its checks to [`run`]: with
+    //! no libtest harness there is no second thread that could allocate while
+    //! a window is open.
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::hint::black_box;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    /// Allocations of at least this many bytes are also counted as large
+    /// (payload-sized buffers, not per-WR bookkeeping).
+    pub const LARGE: usize = 4096;
+
+    static COUNTING: AtomicBool = AtomicBool::new(false);
+    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+    /// Counting wrapper around the system allocator: one relaxed load per
+    /// allocation while no window is open.
+    pub struct CountingAlloc;
+
+    fn note(size: usize) {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            if size >= LARGE {
+                LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    /// Allocations counted in one [`measure`] window.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Allocs {
+        /// Every allocation and reallocation.
+        pub all: u64,
+        /// Those of at least [`LARGE`] bytes.
+        pub large: u64,
+    }
+
+    fn window<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
+        ALLOCS.store(0, Ordering::Relaxed);
+        LARGE_ALLOCS.store(0, Ordering::Relaxed);
+        COUNTING.store(true, Ordering::SeqCst);
+        let out = f();
+        COUNTING.store(false, Ordering::SeqCst);
+        let allocs = Allocs {
+            all: ALLOCS.load(Ordering::Relaxed),
+            large: LARGE_ALLOCS.load(Ordering::Relaxed),
+        };
+        (out, allocs)
+    }
+
+    /// Run `f` with the counters zeroed and counting on, and return its
+    /// result with the allocations made meanwhile by any thread.
+    ///
+    /// Panics first if [`CountingAlloc`] is not this binary's global
+    /// allocator, so a gate that forgot to install it fails instead of
+    /// reading zero.
+    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
+        let (probe, seen) = window(|| black_box(Vec::<u8>::with_capacity(LARGE)));
+        drop(probe);
+        assert!(
+            seen.all >= 1 && seen.large >= 1,
+            "CountingAlloc is not this binary's #[global_allocator]: an allocation gate \
+             would read zero whatever the code under test does"
+        );
+        window(f)
+    }
+
+    /// libtest flags (besides `--skip`) whose value is the next argument.
+    const VALUE_FLAGS: [&str; 4] = ["--test-threads", "--format", "--color", "--logfile"];
+
+    /// The `main` of a `harness = false` gate binary: run each named check
+    /// in order on this thread, reporting in libtest's format, and exit
+    /// non-zero if any check panicked. Honours libtest's name filters
+    /// (substring, or whole name with `--exact`), `--skip`, `--list` and
+    /// `--ignored` (these checks are never ignored, so it selects none);
+    /// other flags are accepted and ignored.
+    pub fn run(checks: &[(&str, fn())]) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let flag = |f: &str| args.iter().any(|a| a == f);
+        let (mut filters, mut skips) = (Vec::new(), Vec::new());
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if a == "--skip" {
+                skips.extend(it.next());
+            } else if VALUE_FLAGS.contains(&a.as_str()) {
+                it.next();
+            } else if !a.starts_with('-') {
+                filters.push(a);
+            }
+        }
+        let matches = |name: &str, pat: &String| {
+            if flag("--exact") {
+                name == pat
+            } else {
+                name.contains(pat.as_str())
+            }
+        };
+        let selected: Vec<&(&str, fn())> = checks
+            .iter()
+            .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+            .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+            .filter(|_| !flag("--ignored"))
+            .collect();
+        let n = selected.len();
+        let tests = if n == 1 { "test" } else { "tests" };
+        if flag("--list") {
+            for (name, _) in &selected {
+                println!("{name}: test");
+            }
+            println!("\n{n} {tests}, 0 benchmarks");
+            return;
+        }
+        let start = std::time::Instant::now();
+        println!("\nrunning {n} {tests}");
+        let mut failed = 0;
+        for (name, check) in &selected {
+            let ok = panic::catch_unwind(AssertUnwindSafe(check)).is_ok();
+            println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+            failed += usize::from(!ok);
+        }
+        println!(
+            "\ntest result: {}. {} passed; {failed} failed; 0 ignored; 0 measured; \
+             {} filtered out; finished in {:.2}s\n",
+            if failed == 0 { "ok" } else { "FAILED" },
+            n - failed,
+            checks.len() - n,
+            start.elapsed().as_secs_f64(),
+        );
+        if failed > 0 {
+            std::process::exit(101);
+        }
+    }
+}

@@ -1,56 +1,26 @@
 //! Allocation regression test for the PDES cross-shard channel path.
 //!
-//! A counting global allocator wraps `System`; with the engine's pools
-//! presized ([`PdesConfig::channel_capacity`] / `event_capacity`), a full
-//! run of a cross-shard-heavy model on the inline epoch executor must
-//! perform **zero heap allocations**: mailbox pushes land in preallocated
-//! buffers, merges swap those buffers instead of reallocating, the merge
-//! sort is in-place (`sort_unstable`), and event payloads recycle slab
-//! slots.
-//!
-//! This file holds exactly one test: a sibling test allocating on another
-//! thread while the window is open would fail it spuriously.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! With the engine's pools presized ([`PdesConfig::channel_capacity`] /
+//! `event_capacity`), a full run of a cross-shard-heavy model on the inline
+//! epoch executor must perform **zero heap allocations**, counted by the
+//! shared `partix_system_tests::alloc` counter: mailbox pushes land in
+//! preallocated buffers, merges swap those buffers instead of reallocating,
+//! the merge sort is in-place (`sort_unstable`), and event payloads
+//! recycle slab slots.
 
 use partix_sim::pdes::{Pdes, PdesConfig, PdesNode, ShardCtx, ShardLogic};
 use partix_sim::{SimDuration, SimTime};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use partix_system_tests::alloc::{self, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn main() {
+    alloc::run(&[(
+        "pdes_cross_shard_path_is_allocation_free",
+        pdes_cross_shard_path_is_allocation_free,
+    )]);
+}
 
 const NODES: u32 = 64;
 const SHARDS: u32 = 4;
@@ -81,7 +51,6 @@ impl ShardLogic for Ring {
     }
 }
 
-#[test]
 fn pdes_cross_shard_path_is_allocation_free() {
     let cfg = PdesConfig {
         shards: SHARDS,
@@ -92,11 +61,7 @@ fn pdes_cross_shard_path_is_allocation_free() {
     let mut pdes = Pdes::new(cfg, (0..SHARDS).map(|_| Ring).collect());
     pdes.seed(0, SimTime(0), Hop { remaining: HOPS });
 
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let report = pdes.run(1);
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let (report, allocs) = alloc::measure(|| pdes.run(1));
 
     // Verify the run actually moved the token before judging the count.
     assert_eq!(report.events as u32, HOPS + 1);
@@ -107,7 +72,8 @@ fn pdes_cross_shard_path_is_allocation_free() {
         "presized channels must not report overflow"
     );
     assert_eq!(
-        allocs, 0,
-        "PDES steady state must not touch the heap ({allocs} allocations leaked into the epoch loop)"
+        allocs.all, 0,
+        "PDES steady state must not touch the heap ({} allocations leaked into the epoch loop)",
+        allocs.all
     );
 }

@@ -1,64 +1,31 @@
 //! ShmFabric data-path allocation guard.
 //!
-//! A counting global allocator wraps `System` and counts allocations of at
-//! least 4 KiB — payload-sized buffers, not the small bookkeeping the verbs
-//! layer does per WR. After a warm-up round has grown every reusable buffer
-//! (the progress thread's scratch, the outstanding-record map), a
-//! steady-state 64 KiB RDMA-write-with-immediate over
-//! `ShmFabric::loopback()` must allocate no such buffer anywhere: the
-//! payload is gathered straight into its ring slot and delivered from the
-//! slot in place. The count covers the progress thread too, since the
-//! allocator is global.
-//!
-//! This file holds exactly one test: a sibling test allocating on another
-//! thread while the window is open would fail it spuriously.
+//! Counts allocations of at least 4 KiB (payload-sized buffers, not the
+//! small bookkeeping the verbs layer does per WR) with the shared
+//! `partix_system_tests::alloc` counter, progress thread included. After a
+//! warm-up round has grown every reusable buffer (the progress thread's
+//! scratch, the outstanding-record map), a steady-state 64 KiB
+//! RDMA-write-with-immediate over `ShmFabric::loopback()` must allocate no
+//! such buffer anywhere: the payload is gathered straight into its ring
+//! slot and delivered from the slot in place.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use partix_system_tests::alloc::{self, CountingAlloc, LARGE};
 use partix_verbs::shm::ShmFabric;
 use partix_verbs::{
     connect_pair, imm, CompletionQueue, Network, Opcode, QpCaps, RecvWr, SendWr, Sge, WcStatus,
 };
 
-/// Allocations of at least this many bytes are counted.
-const LARGE: usize = 4096;
-
-struct CountingAlloc;
-
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-fn note(size: usize) {
-    if size >= LARGE && COUNTING.load(Ordering::Relaxed) {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn main() {
+    alloc::run(&[(
+        "steady_state_64k_write_with_imm_allocates_no_payload_buffer",
+        steady_state_64k_write_with_imm_allocates_no_payload_buffer,
+    )]);
+}
 
 const LEN: usize = 64 << 10;
 
@@ -73,7 +40,6 @@ fn poll(cq: &CompletionQueue, what: &str) -> partix_verbs::WorkCompletion {
     }
 }
 
-#[test]
 fn steady_state_64k_write_with_imm_allocates_no_payload_buffer() {
     let fabric = ShmFabric::loopback();
     let net = Network::new(2, fabric.clone());
@@ -119,20 +85,19 @@ fn steady_state_64k_write_with_imm_allocates_no_payload_buffer() {
         round(tick);
     }
 
-    LARGE_ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for tick in 4..12u8 {
-        round(tick);
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = LARGE_ALLOCS.load(Ordering::Relaxed);
+    let ((), allocs) = alloc::measure(|| {
+        for tick in 4..12u8 {
+            round(tick);
+        }
+    });
 
     // The rounds moved real bytes before the count is judged.
     assert_eq!(dst.read_vec(0, LEN).unwrap(), vec![11u8; LEN]);
     assert_eq!(fabric.data_records(), 12);
     assert_eq!(
-        allocs, 0,
-        "eight steady-state 64 KiB writes made {allocs} allocations of >= {LARGE} bytes"
+        allocs.large, 0,
+        "eight steady-state 64 KiB writes made {} allocations of >= {LARGE} bytes",
+        allocs.large
     );
     fabric.shutdown();
 }
