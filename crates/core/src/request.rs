@@ -46,6 +46,10 @@ pub(crate) struct GroupState {
     pub phase: AtomicU8,
     /// Serialises flush-path scanning.
     pub lock: Mutex<()>,
+    /// Flow tracing: the group's first `pready` stamp this round (0 = none
+    /// yet). A counting policy posts the group whole, so this is where its
+    /// aggregation hold starts.
+    pub first_ready_ns: AtomicU64,
 }
 
 /// A WR that hit the hardware outstanding cap and waits for a free slot.
@@ -163,7 +167,8 @@ pub(crate) struct SendShared {
     /// Per-round pready timestamps (populated only under adaptive delta).
     pub arrival_log: Mutex<Vec<u64>>,
     /// Per-partition pready timestamps for causal flow tracing (stamped only
-    /// while a flow recorder is attached; feeds the `agg_hold_ns` histogram).
+    /// under a timer policy while a flow recorder is attached; feeds the
+    /// `agg_hold_ns` histogram).
     pub pready_ns: Box<[AtomicU64]>,
 }
 
@@ -206,6 +211,7 @@ impl SendShared {
         for g in &ch.groups {
             g.arrived.store(0, Ordering::Relaxed);
             g.phase.store(PHASE_COLLECTING, Ordering::Relaxed);
+            g.first_ready_ns.store(0, Ordering::Relaxed);
         }
         self.pready_count.store(0, Ordering::Relaxed);
         self.sent_count.store(0, Ordering::Relaxed);
@@ -213,7 +219,7 @@ impl SendShared {
         self.wr_completed.store(0, Ordering::Release);
         self.recoveries_round.store(0, Ordering::Relaxed);
         self.arrival_log.lock().clear();
-        if self.proc.tel.flows.enabled() {
+        if ch.plan.timer_delta.is_some() && self.proc.tel.flows.enabled() {
             for t in self.pready_ns.iter() {
                 t.store(0, Ordering::Relaxed);
             }
@@ -247,9 +253,6 @@ impl SendShared {
                 .lock()
                 .push(self.proc.time.now().as_nanos());
         }
-        if self.proc.tel.flows.enabled() {
-            self.pready_ns[i as usize].store(self.proc.tel.flows.now(), Ordering::Relaxed);
-        }
         let ch = self.channel()?.clone();
         let g = ch.plan.group_of(i);
         match ch.current_delta() {
@@ -267,6 +270,17 @@ impl SendShared {
     /// Non-timer policies: the arrival completing the group posts it whole.
     fn counting_pready(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32) {
         let grp = &ch.groups[g as usize];
+        // Flow tracing needs one clock read per group, not per partition:
+        // the group's earliest pready is the oldest member of its WR.
+        let flows = &self.proc.tel.flows;
+        if flows.enabled() && grp.first_ready_ns.load(Ordering::Relaxed) == 0 {
+            let _ = grp.first_ready_ns.compare_exchange(
+                0,
+                flows.now(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
         let n = grp.arrived.fetch_add(1, Ordering::AcqRel) + 1;
         if n == ch.plan.group_size {
             self.post_range(ch, g, ch.plan.range_of(g));
@@ -277,6 +291,11 @@ impl SendShared {
     fn timer_pready(self: &Arc<Self>, ch: &Arc<SendChannel>, g: u32, i: u32, delta: SimDuration) {
         let grp = &ch.groups[g as usize];
         let len = ch.plan.group_size;
+        // A flush may post any run of the group, so flow tracing stamps
+        // every partition.
+        if self.proc.tel.flows.enabled() {
+            self.pready_ns[i as usize].store(self.proc.tel.flows.now(), Ordering::Relaxed);
+        }
         let n = grp.arrived.fetch_add(1, Ordering::AcqRel) + 1;
 
         if n == len {
@@ -423,19 +442,26 @@ impl SendShared {
         // Causal tracing: mint a flow identifier (0 when tracing is off) and
         // record the Posted span. Aggregation hold is measured from the
         // earliest pready of the run — the time the first-ready partition
-        // spent waiting for the aggregation decision.
+        // spent waiting for the aggregation decision. A counting policy's
+        // run is its whole group, whose first stamp is that pready.
         let flows = &self.proc.tel.flows;
         wr.flow = flows.next_flow_id();
         if wr.flow != 0 {
             let now = flows.now();
-            let first_ready = range
-                .clone()
-                .map(|p| self.pready_ns[p as usize].load(Ordering::Relaxed))
-                .filter(|&t| t != 0)
-                .min()
-                .unwrap_or(now);
+            let g = ch.plan.group_of(lo);
+            let first_ready = if ch.plan.timer_delta.is_some() {
+                range
+                    .clone()
+                    .map(|p| self.pready_ns[p as usize].load(Ordering::Relaxed))
+                    .filter(|&t| t != 0)
+                    .min()
+            } else {
+                Some(ch.groups[g as usize].first_ready_ns.load(Ordering::Relaxed))
+                    .filter(|&t| t != 0)
+            }
+            .unwrap_or(now);
             let hold = now.saturating_sub(first_ready);
-            let qp = ch.plan.qp_of(ch.plan.group_of(lo));
+            let qp = ch.plan.qp_of(g);
             flows.event_at(
                 wr.flow,
                 partix_verbs::FlowStage::Posted,

@@ -457,6 +457,7 @@ fn establish(world: &Arc<WorldInner>, s: Arc<SendShared>, r: Arc<RecvShared>) ->
             arrived: std::sync::atomic::AtomicU32::new(0),
             phase: std::sync::atomic::AtomicU8::new(0),
             lock: Mutex::new(()),
+            first_ready_ns: std::sync::atomic::AtomicU64::new(0),
         })
         .collect();
 

@@ -5,10 +5,9 @@
 //! events through a clone of the same handle. The constructor picks the
 //! engine's shape; every method has one body for both:
 //!
-//! - [`Scheduler::new`] / [`with_capacity`](Scheduler::with_capacity)
-//!   build the **sequential** scheduler: one shard and a 1 ns lookahead,
-//!   so each barrier epoch is exactly one timestamp. Node affinity
-//!   ([`at_node`](Scheduler::at_node)) is a census only.
+//! - [`Scheduler::new`] builds the **sequential** scheduler: one shard and
+//!   a 1 ns lookahead, so each barrier epoch is exactly one timestamp. Node
+//!   affinity ([`at_node`](Scheduler::at_node)) is a census only.
 //! - [`Scheduler::sharded`] builds one shard per simulated node, and node
 //!   affinity routes each event to its node's shard.
 //!

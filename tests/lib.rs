@@ -72,7 +72,7 @@ pub mod alloc {
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::hint::black_box;
-    use std::panic::{self, AssertUnwindSafe};
+    use std::panic;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// Allocations of at least this many bytes are also counted as large
@@ -156,65 +156,32 @@ pub mod alloc {
         window(f)
     }
 
-    /// libtest flags (besides `--skip`) whose value is the next argument.
-    const VALUE_FLAGS: [&str; 4] = ["--test-threads", "--format", "--color", "--logfile"];
-
-    /// The `main` of a `harness = false` gate binary: run each named check
-    /// in order on this thread, reporting in libtest's format, and exit
-    /// non-zero if any check panicked. Honours libtest's name filters
-    /// (substring, or whole name with `--exact`), `--skip`, `--list` and
-    /// `--ignored` (these checks are never ignored, so it selects none);
-    /// other flags are accepted and ignored.
+    /// The `main` of a `harness = false` gate binary: run every check in
+    /// order on this thread, report each as libtest does (`test <name> ...
+    /// ok`, then a `test result:` line), and exit non-zero if any check
+    /// panicked. Arguments are ignored except `--list`, which prints the
+    /// names in libtest's format instead (test runners such as cargo-nextest
+    /// discover a binary's tests that way).
     pub fn run(checks: &[(&str, fn())]) {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let flag = |f: &str| args.iter().any(|a| a == f);
-        let (mut filters, mut skips) = (Vec::new(), Vec::new());
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--skip" {
-                skips.extend(it.next());
-            } else if VALUE_FLAGS.contains(&a.as_str()) {
-                it.next();
-            } else if !a.starts_with('-') {
-                filters.push(a);
-            }
-        }
-        let matches = |name: &str, pat: &String| {
-            if flag("--exact") {
-                name == pat
-            } else {
-                name.contains(pat.as_str())
-            }
-        };
-        let selected: Vec<&(&str, fn())> = checks
-            .iter()
-            .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
-            .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
-            .filter(|_| !flag("--ignored"))
-            .collect();
-        let n = selected.len();
-        let tests = if n == 1 { "test" } else { "tests" };
-        if flag("--list") {
-            for (name, _) in &selected {
+        if std::env::args().any(|a| a == "--list") {
+            for (name, _) in checks {
                 println!("{name}: test");
             }
-            println!("\n{n} {tests}, 0 benchmarks");
             return;
         }
+        println!("\nrunning {} tests", checks.len());
         let start = std::time::Instant::now();
-        println!("\nrunning {n} {tests}");
         let mut failed = 0;
-        for (name, check) in &selected {
-            let ok = panic::catch_unwind(AssertUnwindSafe(check)).is_ok();
+        for (name, check) in checks {
+            let ok = panic::catch_unwind(*check).is_ok();
             println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
             failed += usize::from(!ok);
         }
         println!(
             "\ntest result: {}. {} passed; {failed} failed; 0 ignored; 0 measured; \
-             {} filtered out; finished in {:.2}s\n",
+             0 filtered out; finished in {:.2}s\n",
             if failed == 0 { "ok" } else { "FAILED" },
-            n - failed,
-            checks.len() - n,
+            checks.len() - failed,
             start.elapsed().as_secs_f64(),
         );
         if failed > 0 {

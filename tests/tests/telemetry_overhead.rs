@@ -109,9 +109,13 @@ fn floor_and_median(mut ns: Vec<f64>) -> (f64, f64) {
 #[test]
 #[ignore = "timing gate: run in release"]
 fn tracing_flows_and_sampling_each_cost_under_5_percent() {
+    // Calibrate on the fastest of several short runs, so one scheduler
+    // hiccup cannot shrink every sample to a handful of rounds.
     let mut calibrate = round(VARIANTS[0].1);
     time(&mut calibrate, WARMUP);
-    let once = time(&mut calibrate, WARMUP);
+    let once = (0..5)
+        .map(|_| time(&mut calibrate, WARMUP))
+        .fold(f64::INFINITY, f64::min);
     drop(calibrate);
     let iters = (SAMPLE_TARGET.as_nanos() as f64 / once).clamp(1.0, 1000.0) as u32;
 
